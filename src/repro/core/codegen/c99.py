@@ -15,7 +15,7 @@ from repro.core.codegen.cuda import _interface_layout
 __all__ = ["generate_c99"]
 
 _HEADER = """\
-/* Auto-generated by repro (MoMA rewrite system) — do not edit.
+/* Auto-generated by repro (MoMA rewrite system) - do not edit.
  * Kernel: {name}
  * Machine word: {word} bits, multiplication: {algorithm}.
  */

@@ -23,7 +23,7 @@ from repro.core.codegen.common import CTypes, StatementTranslator, check_legal, 
 __all__ = ["generate_cuda", "generate_device_function", "generate_global_kernel"]
 
 _HEADER = """\
-// Auto-generated by repro (MoMA rewrite system) — do not edit.
+// Auto-generated by repro (MoMA rewrite system) - do not edit.
 // Kernel: {name}
 // Operand width: {bits} bits, machine word: {word} bits, multiplication: {algorithm}.
 #include <stdint.h>
@@ -89,8 +89,11 @@ def _redirect_outputs(c_line: str, output_limbs: set[str]) -> str:
 
 
 def generate_global_kernel(kernel: Kernel, types: CTypes) -> str:
-    """The ``__global__`` element-wise kernel (one thread per element)."""
-    translator = StatementTranslator(types)
+    """The ``__global__`` element-wise kernel (one thread per element).
+
+    Each thread loads its element's limbs and calls the ``__forceinline__``
+    scalar routine, which stores the results straight into the output arrays.
+    """
     param_layout, output_layout = _interface_layout(kernel)
     uniform = set(kernel.metadata.get("uniform_params", ()))
 
@@ -117,17 +120,13 @@ def generate_global_kernel(kernel: Kernel, types: CTypes) -> str:
             lines.append(
                 f"    const {types.word} {limb} = {name}[element * {len(limbs)} + {index}];"
             )
-    for local in collect_locals(kernel):
-        lines.append(f"    {types.declared(local.bits)} {local.name};")
-    output_limbs = [limb for _, limbs in output_layout for limb in limbs]
-    for limb in output_limbs:
-        lines.append(f"    {types.word} {limb};")
-    for statement in kernel.body:
-        for c_line in translator.translate(statement):
-            lines.append(f"    {c_line}")
-    for name, limbs in output_layout:
-        for index, limb in enumerate(limbs):
-            lines.append(f"    {name}[element * {len(limbs)} + {index}] = {limb};")
+    call_arguments = [
+        f"&{name}[element * {len(limbs)} + {index}]"
+        for name, limbs in output_layout
+        for index in range(len(limbs))
+    ]
+    call_arguments += [param.name for param in kernel.params]
+    lines.append(f"    {kernel.name}_scalar(" + ", ".join(call_arguments) + ");")
     lines.append("}")
     return "\n".join(lines)
 

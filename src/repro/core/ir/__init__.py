@@ -6,7 +6,7 @@ values), flat statements, and straight-line kernels in SSA form.
 """
 
 from repro.core.ir.builder import KernelBuilder
-from repro.core.ir.fingerprint import body_signature, kernel_digest, kernel_signature
+from repro.core.ir.fingerprint import kernel_digest, kernel_signature
 from repro.core.ir.interp import interpret
 from repro.core.ir.kernel import Kernel
 from repro.core.ir.ops import OpKind, Statement
@@ -16,7 +16,6 @@ from repro.core.ir.values import Const, Group, NameGenerator, Var, as_group
 
 __all__ = [
     "KernelBuilder",
-    "body_signature",
     "kernel_digest",
     "kernel_signature",
     "interpret",

@@ -1,18 +1,12 @@
 """Structural fingerprints of kernels.
 
-Two distinct consumers need to know "is this the same kernel?":
-
-* the optimization pipeline's fixed-point loop, which only has to detect
-  *change between rounds inside one process* — :func:`body_signature` builds a
-  cheap hashable tuple per statement (no string formatting) and hashes it;
-* the driver's content-addressed kernel cache, which needs a key that is
-  *stable across sessions and processes* — :func:`kernel_digest` feeds a
-  canonical rendering of the whole kernel (interface, body, metadata) through
-  SHA-256, so equal IR always produces the same hex key regardless of object
-  identity or hash randomization.
-
-Both walk the same per-statement structure, so the two views cannot drift
-apart.
+The driver's content-addressed kernel cache needs to know "is this the same
+kernel?" with a key that is *stable across sessions and processes*:
+:func:`kernel_digest` feeds a canonical rendering of the whole kernel
+(interface, body, metadata) through SHA-256, so equal IR always produces the
+same hex key regardless of object identity or hash randomization.
+:func:`statement_signature` and :func:`kernel_signature` are the hashable
+structural summaries it is built from.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from repro.core.ir.values import Const, Var
 
 __all__ = [
     "statement_signature",
-    "body_signature",
     "kernel_signature",
     "kernel_digest",
 ]
@@ -48,17 +41,6 @@ def statement_signature(statement: Statement) -> tuple:
         ),
         tuple(sorted(statement.attrs.items())),
     )
-
-
-def body_signature(kernel: Kernel) -> int:
-    """A cheap intra-process hash of the kernel body.
-
-    Used by :func:`repro.core.passes.pipeline.optimize` to detect its fixed
-    point without re-stringifying every statement each round.  The value is
-    only meaningful within one process (``hash`` of strings is randomized per
-    interpreter); use :func:`kernel_digest` for persistent keys.
-    """
-    return hash(tuple(statement_signature(statement) for statement in kernel.body))
 
 
 def kernel_signature(kernel: Kernel) -> tuple:

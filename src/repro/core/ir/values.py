@@ -11,6 +11,7 @@ exactly as the rules do.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -175,14 +176,15 @@ class NameGenerator:
 
         If ``hint`` is given and still free it is used verbatim (so split
         halves keep the paper's ``x_0`` / ``x_1`` style names); otherwise a
-        numeric suffix is appended.
+        numeric suffix is appended.  Names are interned, so the code that
+        backends generate from them shares the IR's strings.
         """
         if hint is not None and hint not in self._taken:
             self._taken.add(hint)
-            return hint
+            return sys.intern(hint)
         while True:
             base = hint if hint is not None else self._prefix
             candidate = f"{base}{next(self._counter)}"
             if candidate not in self._taken:
                 self._taken.add(candidate)
-                return candidate
+                return sys.intern(candidate)

@@ -1,16 +1,17 @@
 """Dead code elimination.
 
 Removes statements none of whose destinations are ever used (by later
-statements or as kernel outputs).  This cleans up the copies left behind by
-copy propagation and CSE, the unused high halves of multiplications whose
-results feed only a shift (Listing 4's "will not be used" temporaries when
-they really are unused), and any operations orphaned by zero-pruning.
+statements or as kernel outputs).  This cleans up the statements whose
+values value numbering forwarded as constants or copies, the unused high
+halves of multiplications whose results feed only a shift (Listing 4's
+"will not be used" temporaries when they really are unused), and any
+operations orphaned by zero-pruning.
 """
 
 from __future__ import annotations
 
 from repro.core.ir.kernel import Kernel
-from repro.core.ir.ops import Statement
+from repro.core.ir.values import Var
 
 __all__ = ["eliminate_dead_code"]
 
@@ -24,18 +25,15 @@ def eliminate_dead_code(kernel: Kernel) -> Kernel:
     # operands then become live too.
     for index in range(len(kernel.body) - 1, -1, -1):
         statement = kernel.body[index]
-        if any(dest.name in live for dest in statement.defined_vars()):
+        if any(dest.name in live for dest in statement.dests.parts):
             keep_flags[index] = True
-            for used in statement.used_vars():
-                live.add(used.name)
+            for group in statement.operands:
+                live.update(part.name for part in group.parts if part.__class__ is Var)
 
-    new_body = [statement for statement, keep in zip(kernel.body, keep_flags) if keep]
-    pruned = Kernel(
+    return Kernel(
         name=kernel.name,
         params=list(kernel.params),
         outputs=list(kernel.outputs),
-        body=new_body,
+        body=[statement for statement, keep in zip(kernel.body, keep_flags) if keep],
         metadata=dict(kernel.metadata),
     )
-    pruned.validate()
-    return pruned

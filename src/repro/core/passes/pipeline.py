@@ -1,9 +1,10 @@
 """Optimization pass pipeline.
 
-The standard pipeline mirrors what the SPIRAL backend does after the MoMA
-rewrite pass: propagate and fold the constants introduced by zero-limb
-pruning, remove duplicate comparisons, forward copies, and delete dead code,
-iterating to a fixed point (each pass can expose work for the others).
+The standard pipeline is what the SPIRAL backend does after the MoMA rewrite
+pass: fold the constants introduced by zero-limb pruning, remove duplicate
+comparisons, forward copies, and delete dead code.  Kernels are
+straight-line SSA, so one forward value-numbering sweep does the first three
+and one backward sweep the last; nothing is left for a second round.
 """
 
 from __future__ import annotations
@@ -11,71 +12,45 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Sequence
 
-from repro.core.ir.fingerprint import body_signature
 from repro.core.ir.kernel import Kernel
-from repro.core.passes.constant_fold import fold_constants
-from repro.core.passes.copy_propagation import propagate_copies
-from repro.core.passes.cse import eliminate_common_subexpressions
 from repro.core.passes.dce import eliminate_dead_code
-from repro.core.passes.simplify import simplify
+from repro.core.passes.value_number import value_number
 
-__all__ = ["optimize", "run_pipeline", "DEFAULT_PIPELINE", "PassObserver"]
+__all__ = ["optimize", "DEFAULT_PIPELINE", "PassObserver"]
 
 Pass = Callable[[Kernel], Kernel]
 
 #: Callback invoked after each pass application:
 #: ``observer(pass_name, round_index, seconds, statements_before, statements_after)``.
+#: The pipeline runs once, so ``round_index`` is always 0.
 PassObserver = Callable[[str, int, float, int, int], None]
 
-#: The default pass order; one round of this list is one pipeline iteration.
-DEFAULT_PIPELINE: tuple[Pass, ...] = (
-    fold_constants,
-    simplify,
-    propagate_copies,
-    eliminate_common_subexpressions,
-    propagate_copies,
-    eliminate_dead_code,
-)
-
-
-def run_pipeline(kernel: Kernel, passes: Sequence[Pass]) -> Kernel:
-    """Run an explicit sequence of passes once, in order."""
-    for optimization in passes:
-        kernel = optimization(kernel)
-    return kernel
+#: The default pass order.
+DEFAULT_PIPELINE: tuple[Pass, ...] = (value_number, eliminate_dead_code)
 
 
 def optimize(
     kernel: Kernel,
-    max_rounds: int = 8,
     pipeline: Sequence[Pass] = DEFAULT_PIPELINE,
     observer: PassObserver | None = None,
 ) -> Kernel:
-    """Run the pipeline until the body stops changing.
+    """Run each pass of ``pipeline`` once, in order, and validate the result.
 
-    ``max_rounds`` bounds the iteration; in practice two or three rounds
-    reach the fixed point even for 1,024-bit kernels.  The fixed point is
-    detected with :func:`body_signature` — a structural hash, much cheaper
-    than re-stringifying every statement each round.  ``observer`` (used by
-    the driver's :class:`~repro.core.driver.session.CompilerSession` for
-    pipeline instrumentation) receives per-pass timing and statement counts.
+    ``observer`` (used by the driver's
+    :class:`~repro.core.driver.session.CompilerSession` for pipeline
+    instrumentation) receives per-pass timing and statement counts.
     """
-    previous_signature = body_signature(kernel)
-    for round_index in range(max_rounds):
-        for optimization in pipeline:
-            statements_before = len(kernel.body)
-            started = time.perf_counter()
-            kernel = optimization(kernel)
-            if observer is not None:
-                observer(
-                    optimization.__name__,
-                    round_index,
-                    time.perf_counter() - started,
-                    statements_before,
-                    len(kernel.body),
-                )
-        signature = body_signature(kernel)
-        if signature == previous_signature:
-            break
-        previous_signature = signature
+    for optimization in pipeline:
+        statements_before = len(kernel.body)
+        started = time.perf_counter()
+        kernel = optimization(kernel)
+        if observer is not None:
+            observer(
+                optimization.__name__,
+                0,
+                time.perf_counter() - started,
+                statements_before,
+                len(kernel.body),
+            )
+    kernel.validate()
     return kernel

@@ -1,13 +1,16 @@
 """Tests for the CUDA, C99 and Python code generators."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.codegen.c99 import generate_c99
-from repro.core.codegen.common import CTypes
+from repro.core.codegen.common import CTypes, StatementTranslator
 from repro.core.codegen.cuda import generate_cuda
 from repro.core.codegen.python_exec import compile_kernel, generate_python_source
 from repro.core.ir.builder import KernelBuilder
 from repro.core.ir.interp import interpret
+from repro.core.passes import optimize
 from repro.core.rewrite.legalize import legalize
 from repro.core.rewrite.options import RewriteOptions
 from repro.errors import CodegenError
@@ -89,6 +92,31 @@ class TestCudaBackend:
         wide = legalize(butterfly_kernel(512, 508), RewriteOptions(word_bits=64))
         pruned = legalize(butterfly_kernel(512, 380), RewriteOptions(word_bits=64))
         assert generate_cuda(pruned).count("uint64_t x_") < generate_cuda(wide).count("uint64_t x_")
+
+
+class TestEmittedText:
+    def test_c_family_sources_are_ascii(self, legalized_butterfly):
+        # One non-ASCII character would store the whole text at 2 bytes per
+        # character.
+        assert generate_c99(legalized_butterfly).isascii()
+        assert generate_cuda(legalized_butterfly).isascii()
+
+    def test_cuda_translates_each_statement_once(self, legalized_butterfly):
+        lowered = optimize(legalized_butterfly)
+        source = generate_cuda(lowered)
+        lines = Counter(line.strip() for line in source.splitlines())
+        output_limbs = {output.name for output in lowered.outputs}
+        translator = StatementTranslator(CTypes.for_word_bits(64))
+        for statement in lowered.body:
+            for c_line in translator.translate(statement):
+                if c_line.split(" =", 1)[0] in output_limbs:
+                    c_line = "*" + c_line
+                assert lines[c_line] == 1, c_line
+
+    def test_global_kernel_calls_the_scalar_routine(self, legalized_butterfly):
+        source = generate_cuda(legalized_butterfly)
+        assert "bf_256_scalar(&x_out[element * 4 + 0], " in source
+        assert source.count("bf_256_scalar(") == 2  # definition + call
 
 
 class TestC99Backend:

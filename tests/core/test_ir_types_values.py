@@ -1,5 +1,7 @@
 """Tests for IR types, values and operand groups."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,3 +125,11 @@ class TestNameGenerator:
         names = NameGenerator()
         issued = {names.fresh("v") for _ in range(100)}
         assert len(issued) == 100
+
+    def test_names_are_interned(self):
+        # Generated code objects then share the IR's name strings.
+        names = NameGenerator()
+        hinted = names.fresh("".join(["lim", "b"]))
+        suffixed = names.fresh("limb")
+        assert hinted is sys.intern("limb")
+        assert suffixed is sys.intern("limb0")

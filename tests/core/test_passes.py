@@ -1,23 +1,17 @@
-"""Tests for the optimization passes (folding, simplify, copy-prop, CSE, DCE)."""
+"""Tests for the optimization passes: the value-numbering sweep (folding,
+simplification, copy propagation, CSE) and DCE."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.codegen.python_exec import compile_kernel
 from repro.core.ir.builder import KernelBuilder
+from repro.core.ir.interp import interpret
 from repro.core.ir.ops import OpKind
-from repro.core.ir.values import Const, Group, Var
-from repro.core.ir.types import IntType, u64
-from repro.core.passes import (
-    eliminate_common_subexpressions,
-    eliminate_dead_code,
-    fold_constants,
-    optimize,
-    propagate_copies,
-    simplify,
-)
+from repro.core.ir.values import Const, Group
+from repro.core.passes import DEFAULT_PIPELINE, eliminate_dead_code, optimize, value_number
 from repro.core.rewrite.legalize import legalize
 from repro.core.rewrite.options import RewriteOptions
+from repro.errors import IRError
 
 
 def op_histogram(kernel):
@@ -36,17 +30,26 @@ class TestConstantFolding:
         product = builder.mul(total, builder.constant(3, 64))
         builder.output("z", product)
         kernel = builder.build()
-        folded = fold_constants(kernel)
-        # Only the output mov should survive, carrying the constant 48.
-        movs = [s for s in folded.body if s.op is OpKind.MOV]
-        assert len(folded.body) == len(movs)
-        compiled_value = [
-            part.value
-            for statement in movs
-            for part in statement.operands[0]
-            if isinstance(part, Const)
-        ]
-        assert (16 * 3) in compiled_value or 48 in compiled_value
+        folded = value_number(kernel)
+        # Only the output mov survives, carrying the constant (7 + 9) * 3.
+        (statement,) = folded.body
+        assert statement.op is OpKind.MOV
+        assert statement.operands[0].parts == (Const(48, statement.dests.parts[0].type),)
+
+    def test_zero_modulus_raises(self):
+        builder = KernelBuilder("zero_q")
+        constant = builder.constant(3, 64)
+        builder.output("z", builder.addmod(constant, constant, builder.constant(0, 64)))
+        with pytest.raises(IRError, match="zero modulus"):
+            value_number(builder.build())
+
+    def test_overflowing_fold_raises(self):
+        builder = KernelBuilder("overflow")
+        dest = builder.fresh(64)
+        builder.emit(OpKind.ADD, dest, [builder.constant((1 << 64) - 1, 64), builder.constant(1, 64)])
+        builder.output("z", dest)
+        with pytest.raises(IRError, match="overflowed"):
+            value_number(builder.build())
 
     def test_folding_preserves_semantics_on_pruned_kernel(self):
         builder = KernelBuilder("pruned")
@@ -55,7 +58,7 @@ class TestConstantFolding:
         q = builder.param("q", 256, 130)
         builder.output("z", builder.addmod(x, y, q))
         legalized = legalize(builder.build(), RewriteOptions(word_bits=64))
-        folded = fold_constants(legalized)
+        folded = value_number(legalized)
         compiled = compile_kernel(folded)
         q_value = (1 << 130) - 5
         assert compiled(x=q_value - 1, y=q_value - 2, q=q_value)["z"] == (2 * q_value - 3) % q_value
@@ -64,7 +67,7 @@ class TestConstantFolding:
         builder = KernelBuilder("cmp")
         flag = builder.compare(OpKind.LT, builder.constant(3, 64), builder.constant(5, 64))
         builder.output("z", builder.select(flag, builder.constant(1, 64), builder.constant(0, 64)))
-        folded = fold_constants(builder.build())
+        folded = value_number(builder.build())
         assert all(s.op is OpKind.MOV for s in folded.body)
 
 
@@ -73,7 +76,7 @@ class TestSimplify:
         builder = KernelBuilder("s")
         x = builder.param("x", 64)
         builder.output("z", builder.add(x, builder.constant(0, 64), result_bits=64))
-        simplified = simplify(builder.build())
+        simplified = value_number(builder.build())
         assert op_histogram(simplified).get(OpKind.ADD, 0) == 0
 
     def test_mul_by_zero_and_one(self):
@@ -83,7 +86,7 @@ class TestSimplify:
         one_product = builder.mul(x, builder.constant(1, 64))
         builder.output("a", zero_product)
         builder.output("b", one_product)
-        simplified = simplify(builder.build())
+        simplified = value_number(builder.build())
         assert op_histogram(simplified).get(OpKind.MUL, 0) == 0
 
     def test_select_with_constant_condition(self):
@@ -91,7 +94,7 @@ class TestSimplify:
         x = builder.param("x", 64)
         y = builder.param("y", 64)
         builder.output("z", builder.select(builder.constant(1, 1), x, y))
-        simplified = simplify(builder.build())
+        simplified = value_number(builder.build())
         assert op_histogram(simplified).get(OpKind.SELECT, 0) == 0
 
     def test_or_with_zero(self):
@@ -102,7 +105,7 @@ class TestSimplify:
         dest = builder.fresh(1, "f")
         builder.emit(OpKind.OR, dest, [x, builder.constant(0, 1)])
         builder.output("z", dest)
-        simplified = simplify(builder.build())
+        simplified = value_number(builder.build())
         assert op_histogram(simplified).get(OpKind.OR, 0) == 0
 
     def test_semantics_preserved(self):
@@ -128,7 +131,7 @@ class TestCopyPropagationAndDCE:
         copy2 = builder.mov(copy1)
         builder.output("z", builder.add(copy2, copy2, result_bits=128))
         kernel = builder.build()
-        cleaned = eliminate_dead_code(propagate_copies(kernel))
+        cleaned = value_number(kernel)
         # Both intermediate copies should be gone; the add reads x directly.
         assert op_histogram(cleaned).get(OpKind.MOV, 0) == 1  # only the output mov
         add = next(s for s in cleaned.body if s.op is OpKind.ADD)
@@ -138,7 +141,7 @@ class TestCopyPropagationAndDCE:
         builder = KernelBuilder("cp2")
         x = builder.param("x", 64)
         builder.output("z", builder.mov(x))
-        cleaned = eliminate_dead_code(propagate_copies(builder.build()))
+        cleaned = value_number(builder.build())
         assert [o.name for o in cleaned.outputs] == ["z"]
         assert any("z" in [d.name for d in s.defined_vars()] for s in cleaned.body)
 
@@ -170,7 +173,7 @@ class TestCSE:
         second = builder.compare(OpKind.LT, x, y)
         builder.output("a", first)
         builder.output("b", second)
-        deduplicated = eliminate_common_subexpressions(builder.build())
+        deduplicated = value_number(builder.build())
         assert op_histogram(deduplicated)[OpKind.LT] == 1
 
     def test_different_operands_not_merged(self):
@@ -179,7 +182,7 @@ class TestCSE:
         y = builder.param("y", 64)
         builder.output("a", builder.compare(OpKind.LT, x, y))
         builder.output("b", builder.compare(OpKind.LT, y, x))
-        deduplicated = eliminate_common_subexpressions(builder.build())
+        deduplicated = value_number(builder.build())
         assert op_histogram(deduplicated)[OpKind.LT] == 2
 
     def test_shift_attrs_distinguish(self):
@@ -187,7 +190,7 @@ class TestCSE:
         x = builder.param("x", 64)
         builder.output("a", builder.shr(x, 3, 64))
         builder.output("b", builder.shr(x, 4, 64))
-        deduplicated = eliminate_common_subexpressions(builder.build())
+        deduplicated = value_number(builder.build())
         assert op_histogram(deduplicated)[OpKind.SHR] == 2
 
 
@@ -213,7 +216,36 @@ class TestOptimizePipeline:
         assert raw == opt
         assert opt["z"] == (a * b) % q_value
 
-    def test_idempotent_at_fixed_point(self):
+    def test_runs_each_pass_once(self):
+        builder = KernelBuilder("once")
+        x = builder.param("x", 128, 124)
+        y = builder.param("y", 128, 124)
+        q = builder.param("q", 128, 124)
+        builder.output("z", builder.addmod(x, y, q))
+        legalized = legalize(builder.build(), RewriteOptions(word_bits=64))
+        records = []
+        optimize(legalized, observer=lambda *record: records.append(record))
+        assert [(name, round_index) for name, round_index, *_ in records] == [
+            (optimization.__name__, 0) for optimization in DEFAULT_PIPELINE
+        ]
+        assert records[0][3] == len(legalized.body)
+        assert records[0][4] == records[1][3]
+
+    def test_one_sweep_finds_work_that_other_rules_expose(self):
+        # The repeated add makes the select's arms equal, which makes the
+        # select a copy, which leaves the second add dead: one sweep + DCE.
+        builder = KernelBuilder("chain")
+        x = builder.param("x", 64)
+        y = builder.param("y", 64)
+        c = builder.param("c", 1)
+        first = builder.add(x, y, result_bits=64)
+        second = builder.add(x, y, result_bits=64)
+        builder.output("z", builder.select(c, first, second))
+        optimized = optimize(builder.build())
+        assert op_histogram(optimized) == {OpKind.ADD: 1, OpKind.MOV: 1}
+        assert interpret(optimized, {"x": 5, "y": 7, "c": 0}) == {"z": 12}
+
+    def test_idempotent(self):
         builder = KernelBuilder("fixed")
         x = builder.param("x", 128, 124)
         y = builder.param("y", 128, 124)
@@ -222,3 +254,35 @@ class TestOptimizePipeline:
         once = optimize(legalize(builder.build(), RewriteOptions(word_bits=64)))
         twice = optimize(once)
         assert [str(s) for s in once.body] == [str(s) for s in twice.body]
+
+
+class TestSweepSharing:
+    def test_unchanged_statements_are_reused(self):
+        builder = KernelBuilder("reuse")
+        x = builder.param("x", 64)
+        y = builder.param("y", 64)
+        total = builder.add(x, y, result_bits=64)
+        builder.output("z", builder.add(total, builder.constant(0, 64), result_bits=64))
+        kernel = builder.build()
+        numbered = value_number(kernel)
+        assert numbered.body[0] is kernel.body[0]
+        assert numbered.body[1] is not kernel.body[1]
+
+    def test_operand_groups_interned(self):
+        builder = KernelBuilder("intern")
+        x = builder.param("x", 64)
+        y = builder.param("y", 64)
+        hi = builder.fresh(64, "hi")
+        lo = builder.fresh(64, "lo")
+        product = builder.emit(OpKind.MUL, Group((hi, lo)), [x, y]).dests
+        builder.emit(OpKind.MOV, builder.fresh(128, "wide"), [Group((hi, lo))])
+        builder.output("a", builder.compare(OpKind.LT, x, y))
+        builder.output("b", builder.compare(OpKind.LE, x, y))
+        numbered = value_number(builder.build())
+        mul, wide, less, less_equal = (
+            next(s for s in numbered.body if s.op is op)
+            for op in (OpKind.MUL, OpKind.MOV, OpKind.LT, OpKind.LE)
+        )
+        # A use of a multi-part result shares the defining statement's group.
+        assert wide.operands[0] is product is mul.dests
+        assert less.operands[0] is less_equal.operands[0] is mul.operands[0]
