@@ -1,21 +1,13 @@
-"""Fast-wire non-regression: the warm TCP path and the v2 binary frames.
+"""Fast-wire non-regression: the warm TCP path.
 
-Two floors guard the shard tier's hot path:
-
-* **warm TCP throughput** — requests/sec for already-served families
-  through a real localhost TCP socket (supervisor → listener → reply),
-  crossing the full path the paper's serving tier uses in production:
-  consistent-hash routing, envelope encode, coalesced socket flush,
-  stream framing, decode, future resolution.  Submitted as one batch so
-  the sender threads can coalesce; the floor is deliberately conservative
-  (CI machines are noisy) but catches order-of-magnitude regressions like
-  an accidental per-request Nagle stall or a re-introduced per-ping
-  ``json.dumps``.
-* **v2 beats v1 on kernel-artifact replies** — the point of the binary
-  payload frames: a pickled-kernel reply must be *smaller* on the wire
-  (no base64, no JSON string-escaping) and *faster* to encode+decode than
-  its v1 JSON form.  Both are asserted strictly; the measured numbers
-  land in the BENCH artifact via ``extra_info``.
+**Warm TCP throughput** — requests/sec for already-served families through
+a real localhost TCP socket (supervisor → listener → reply), crossing the
+full path the paper's serving tier uses in production: consistent-hash
+routing, container encode, coalesced socket flush, stream framing, decode,
+future resolution.  Submitted as one batch so the sender threads can
+coalesce; the floor is deliberately conservative (CI machines are noisy)
+but catches order-of-magnitude regressions like an accidental per-request
+Nagle stall.
 """
 
 import queue
@@ -26,7 +18,6 @@ import time
 import pytest
 
 from repro.serve import (
-    KernelServer,
     ServeRequest,
     ShardSupervisor,
     serve_shard_tcp,
@@ -41,7 +32,6 @@ SIZE = 16
 REQUIRED_WARM_TCP_RPS = 200.0
 
 _WARM_REQUESTS = 300
-_CODEC_REPS = 30
 
 
 def _start_listener():
@@ -105,28 +95,6 @@ def _measure_tcp():
         _shut_down_listener(address, thread)
 
 
-def _measure_codec():
-    with KernelServer(devices=("rtx4090",)) as server:
-        result = server.serve(ServeRequest(kind="ntt", bits=BITS, size=SIZE))
-    reply = protocol.ServeReply(request_id=1, result=result)
-
-    def round_trip_seconds(version):
-        samples = []
-        for _ in range(_CODEC_REPS):
-            started = time.perf_counter()
-            data = protocol.encode_message(reply, version=version)
-            decoded = protocol.decode_message(data, allow_pickled=True)
-            samples.append(time.perf_counter() - started)
-            assert decoded.request_id == 1
-        # min, not mean: the best observed run is the least noisy estimate
-        # of the codec's intrinsic cost on a shared CI machine.
-        return min(samples), len(data)
-
-    v1_seconds, v1_bytes = round_trip_seconds(protocol.PROTOCOL_VERSION)
-    v2_seconds, v2_bytes = round_trip_seconds(protocol.PROTOCOL_VERSION_2)
-    return v1_seconds, v1_bytes, v2_seconds, v2_bytes
-
-
 @pytest.mark.perf_floor
 def test_warm_tcp_throughput_floor(run_once, benchmark, floor_scale):
     rps, wire = run_once(_measure_tcp)
@@ -148,27 +116,4 @@ def test_warm_tcp_throughput_floor(run_once, benchmark, floor_scale):
         f"warm TCP serving ran at {rps:.0f} req/s; "
         f"expected at least {floor:.0f} req/s "
         f"({REQUIRED_WARM_TCP_RPS:.0f} x {floor_scale:g})"
-    )
-
-
-def test_v2_frames_beat_v1_on_kernel_replies(run_once, benchmark):
-    v1_seconds, v1_bytes, v2_seconds, v2_bytes = run_once(_measure_codec)
-    benchmark.extra_info["v1_reply_bytes"] = v1_bytes
-    benchmark.extra_info["v2_reply_bytes"] = v2_bytes
-    benchmark.extra_info["v1_roundtrip_us"] = v1_seconds * 1e6
-    benchmark.extra_info["v2_roundtrip_us"] = v2_seconds * 1e6
-    shrink = 1.0 - v2_bytes / v1_bytes
-    speedup = v1_seconds / v2_seconds
-    print(
-        f"\n# kernel reply v1 {v1_bytes} B / {v1_seconds * 1e6:.0f} us, "
-        f"v2 {v2_bytes} B / {v2_seconds * 1e6:.0f} us "
-        f"({shrink:.1%} smaller, {speedup:.2f}x faster)"
-    )
-    assert v2_bytes < v1_bytes, (
-        f"v2 kernel reply ({v2_bytes} B) should be smaller than v1 "
-        f"({v1_bytes} B): binary frames exist to drop the base64 tax"
-    )
-    assert v2_seconds < v1_seconds, (
-        f"v2 round-trip ({v2_seconds * 1e6:.0f} us) should beat v1 "
-        f"({v1_seconds * 1e6:.0f} us) on kernel-artifact replies"
     )

@@ -16,7 +16,7 @@ Four layers, each importable on its own:
   (open-loop fixed-rate or closed-loop N-client arrivals) that serializes
   to canonical JSON, so the same seed always replays byte-identically.
 * :mod:`repro.loadgen.replay` — the **replay engine**: drives a
-  :class:`~repro.serve.supervisor.ShardSupervisor` (local pipes or TCP
+  :class:`~repro.serve.supervisor.ShardSupervisor` (local socketpairs or TCP
   ``--connect``) or a single :class:`~repro.serve.KernelServer` through
   the trace, honoring per-request deadlines, with an optional
   fault-injection hook that kills a shard mid-replay.

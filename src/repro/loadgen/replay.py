@@ -2,7 +2,7 @@
 
 Replays a :class:`~repro.loadgen.trace.Trace` against anything with the
 server front door — a :class:`~repro.serve.KernelServer` or a
-:class:`~repro.serve.supervisor.ShardSupervisor` (local pipe shards or TCP
+:class:`~repro.serve.supervisor.ShardSupervisor` (local socketpair shards or TCP
 ``--connect`` shards; the engine never cares which).  Per-request deadlines
 ride :meth:`submit`'s ``deadline_ms`` onto the wire, where a shard sheds
 late results; the engine additionally counts a *client-observed* miss for

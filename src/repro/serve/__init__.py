@@ -24,17 +24,18 @@ winners to heavy concurrent traffic from one long-running process:
 One process stops scaling eventually; the **sharded tier** spreads kernel
 families across server processes:
 
-* :mod:`repro.serve.protocol` — the versioned wire protocol
-  (``ServeCall``/``ServeReply``/``StatsCall``/...; artifacts as source text
-  or pickled ``python_exec`` kernels; the TCP handshake, trust levels, and
-  the v1 JSON / v2 binary-frame encodings negotiated per connection);
+* :mod:`repro.serve.protocol` — the wire protocol
+  (``ServeCall``/``ServeReply``/``StatsCall``/...; one binary container
+  with artifacts as source text or pickled ``python_exec`` kernels in
+  out-of-band frames; the TCP handshake and trust levels; and
+  ``StreamConnection``, the socket framing every shard link uses);
 * :mod:`repro.serve.shard` — :class:`ShardRouter` (consistent hashing of
   (kernel-family fingerprint, device) onto shards), the shard process
   main loop, and :func:`serve_shard_tcp` (the same loop behind a TCP
   listener, source-only trust by default);
 * :mod:`repro.serve.supervisor` — :class:`ShardSupervisor`: spawns,
-  monitors and restarts shard processes (and connects to remote TCP
-  shards), each local shard with its own tuning-db replica, and
+  monitors and restarts shard processes over socketpairs (and connects to
+  remote TCP shards), each local shard with its own tuning-db replica, and
   aggregates metrics across them into a :class:`ClusterStats`.
 
 ``python -m repro.serve --warmup --once ntt --bits 256 --stats`` drives a
@@ -60,9 +61,7 @@ from repro.serve.invalidate import (
 )
 from repro.serve.metrics import MetricsSnapshot, ServerMetrics, WireSnapshot
 from repro.serve.protocol import (
-    MAX_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_2,
     TRUST_PICKLED,
     TRUST_SOURCE,
     ShardStats,
@@ -82,8 +81,6 @@ __all__ = [
     "ServeRequest",
     "ServeResult",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_2",
-    "MAX_PROTOCOL_VERSION",
     "TRUST_SOURCE",
     "TRUST_PICKLED",
     "ShardStats",

@@ -178,7 +178,7 @@ class WireSnapshot:
     Attributes:
         messages_sent: request messages encoded and enqueued for shards.
         messages_received: reply messages decoded from shards.
-        flushes: socket/pipe flush operations that carried those messages
+        flushes: socket flush operations that carried those messages
             (coalescing shows up as ``messages_sent / flushes`` > 1).
         bytes_sent: encoded request bytes handed to transports.
         bytes_received: reply bytes pulled off transports.

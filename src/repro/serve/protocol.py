@@ -1,16 +1,28 @@
-"""The versioned wire protocol between shard processes and their supervisor.
+"""The wire protocol between shard processes and their supervisor.
 
-Every message is one JSON object wrapped in a versioned envelope::
+Every message is one binary container: a JSON envelope for the control
+fields plus the message's bulk payloads (artifact bodies) as out-of-band
+byte frames:
 
-    {"moma-serve": 1, "type": "serve", "payload": {...}}
+.. code-block:: text
 
-and moves across a byte transport either as a raw ``bytes`` payload
-(:func:`encode_message` / :func:`decode_message` — what
-``multiprocessing.Connection.send_bytes`` carries between a supervisor and
-its shard pipes) or as a length-prefixed frame on a binary stream
-(:func:`write_message` / :func:`read_message` — what a socket's ``makefile``
-carries between machines).  The two layers compose: a frame is exactly the
-encoded message behind a 4-byte big-endian length.
+    b"\\x93MS2"            4-byte magic
+    u32 BE                 envelope length
+    envelope JSON          {"moma-serve": 2, "type": ..., "payload": ...,
+                           "frames": [len0, len1, ...]}
+    per frame: u32 BE length (must match the envelope's declared length)
+               + the raw bytes
+
+Payload fields reference frames by index (``{"encoding": "source",
+"frame": 0}``) instead of embedding the bytes: kernel source crosses as
+raw UTF-8 and pickled kernels as raw pickle bytes, and decode slices the
+blob with memoryviews instead of copying.  :func:`encode_message` /
+:func:`decode_message` turn messages into container bytes and back.
+
+The container moves over exactly one transport framing,
+:class:`StreamConnection`: a 4-byte big-endian length prefix and the
+container, on a connected socket.  Local shards get one end of a
+``socket.socketpair()``, remote shards a TCP connection.
 
 Message types (each a frozen dataclass):
 
@@ -38,10 +50,10 @@ Message types (each a frozen dataclass):
 forms (:func:`encode_artifact` / :func:`decode_artifact`):
 
 * ``"source"`` — backend source text (the ``cuda`` / ``c99`` targets) passes
-  through verbatim;
+  through verbatim as a UTF-8 frame;
 * ``"pickled_kernel"`` — an executable ``python_exec``
   :class:`~repro.core.codegen.python_exec.CompiledKernel` ships as a
-  base64-encoded pickle (the kernel IR + generated source; the callable is
+  pickle frame (the kernel IR + generated source; the callable is
   re-exec'd from the source on arrival).
 
 Unpickling executes code, so ``decode_artifact`` only accepts
@@ -53,42 +65,13 @@ explicit operator opt-in on both ends).  Everything else runs **source-only**
 downgraded to their generated source text before the wire
 (:func:`source_only_result`) and pickled payloads are rejected on arrival.
 
-**Protocol v2: out-of-band binary payload frames.**  v1 ships everything —
-including multi-kilobyte kernel artifacts — inside the JSON envelope, which
-costs base64 (+33% size, two copies) for pickles and JSON string-escaping
-for kernel source.  v2 keeps the JSON envelope for control fields but moves
-artifact bodies out of band: a v2 message is one byte blob
-
-.. code-block:: text
-
-    b"\\x93MS2"            4-byte magic (not valid UTF-8, so a v1 decoder
-                           rejects it cleanly instead of mis-parsing)
-    u32 BE                 envelope length
-    envelope JSON          {"moma-serve": 2, "type": ..., "payload": ...,
-                           "frames": [len0, len1, ...]}
-    per frame: u32 BE length (must match the envelope's declared length)
-               + the raw bytes
-
-and payload fields reference frames by index (``{"encoding": "source",
-"frame": 0}``) instead of embedding the bytes.  Kernel source crosses as
-raw UTF-8, pickled kernels as raw pickle bytes — no base64, no escaping,
-and decode slices the blob with memoryviews instead of copying.
-
-**Version negotiation.**  Every build decodes *both* encodings (the magic
-disambiguates), so the envelope version only gates what a sender may
-*emit*: the hello handshake carries an additive ``max_protocol`` field
-(ignored by v1 decoders, absent → 1) and both ends speak
-:func:`negotiate_version` of the two maxima for the rest of the
-connection.  A v1 peer therefore keeps working against a v2 build: the
-handshake frames themselves are always v1-encoded, and the session
-negotiates down to v1.  :data:`PROTOCOL_VERSION` (the v1 envelope version)
-is still bumped on any *incompatible* change; additive, optional payload
-fields may ride within a version — decoders ignore unknown payload keys.
+:data:`PROTOCOL_VERSION` is bumped on any *incompatible* change; additive,
+optional payload fields may ride within a version — decoders ignore
+unknown payload keys.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import io
 import json
@@ -107,7 +90,6 @@ from repro.serve.server import ServeRequest, ServeResult
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_2",
     "MAX_PROTOCOL_VERSION",
     "FRAME_MAGIC",
     "MAX_FRAME_BYTES",
@@ -127,36 +109,25 @@ __all__ = [
     "ControlReply",
     "ShutdownCall",
     "negotiate_trust",
-    "negotiate_version",
     "encode_artifact",
     "decode_artifact",
     "source_only_result",
     "encode_message",
     "decode_message",
-    "encode_ping",
-    "encode_pong",
-    "write_message",
     "read_frame",
-    "read_message",
     "StreamConnection",
 ]
 
-#: The v1 (JSON-only) envelope version — the baseline every build speaks.
-#: Bumped on every *incompatible* wire change; a JSON decoder rejects other
-#: versions.  The binary-frame container (v2) is negotiated, not pinned.
-PROTOCOL_VERSION = 1
+#: The container version.  Bumped on every *incompatible* wire change; a
+#: decoder rejects other versions, and the hello pins it before any payload
+#: is trusted.
+PROTOCOL_VERSION = 2
 
-#: The binary-frame container version: JSON envelope for control fields,
-#: artifact bodies as out-of-band length-prefixed byte frames.
-PROTOCOL_VERSION_2 = 2
+#: Alias of :data:`PROTOCOL_VERSION`, kept for callers that still name it.
+MAX_PROTOCOL_VERSION = PROTOCOL_VERSION
 
-#: The highest protocol version this build can speak.  What a connection
-#: actually uses is :func:`negotiate_version` of both ends' maxima.
-MAX_PROTOCOL_VERSION = PROTOCOL_VERSION_2
-
-#: First bytes of every v2 message blob.  0x93 is an invalid UTF-8 lead
-#: byte, so a v1 (JSON-only) decoder fails cleanly with "undecodable wire
-#: message" instead of half-parsing a binary container.
+#: First bytes of every message.  0x93 is an invalid UTF-8 lead byte, so no
+#: JSON text can be mistaken for a container.
 FRAME_MAGIC = b"\x93MS2"
 
 _ENVELOPE_KEY = "moma-serve"
@@ -166,6 +137,11 @@ _ENVELOPE_KEY = "moma-serve"
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
+def _is_int(value) -> bool:
+    """An integer wire field: JSON ``true``/``false`` do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # -- transport trust levels --------------------------------------------------
 
 #: Source-only transport: executable artifacts cross as generated source
@@ -173,8 +149,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 TRUST_SOURCE = "source"
 
 #: Fully trusted transport: ``python_exec`` artifacts cross as executable
-#: pickles.  Implicit for the supervisor's own spawned shard pipes; over TCP
-#: it must be requested by the supervisor *and* allowed by the shard.
+#: pickles.  Implicit for the supervisor's own spawned shards; over TCP it
+#: must be requested by the supervisor *and* allowed by the shard.
 TRUST_PICKLED = "pickled"
 
 _TRUST_LEVELS = (TRUST_SOURCE, TRUST_PICKLED)
@@ -195,92 +171,52 @@ def negotiate_trust(requested: str, policy: str) -> str:
     return TRUST_SOURCE
 
 
-def negotiate_version(local_max: int, peer_max: object) -> int:
-    """The protocol version a connection speaks: the lower of the two maxima.
-
-    ``peer_max`` comes off the wire (the hello's additive ``max_protocol``
-    field; a v1 peer never sends it and defaults to 1), so it is validated
-    here: a non-integer or sub-1 claim is a protocol violation.
-    """
-    if not isinstance(peer_max, int) or isinstance(peer_max, bool) or peer_max < 1:
-        raise ProtocolError(f"peer advertised impossible protocol version {peer_max!r}")
-    return min(local_max, peer_max)
-
-
 # -- artifact encodings ------------------------------------------------------
 
 SOURCE_ENCODING = "source"
 PICKLED_KERNEL_ENCODING = "pickled_kernel"
 
 
-def encode_artifact(artifact: object, frames: list | None = None) -> dict:
+def encode_artifact(artifact: object, frames: list) -> dict:
     """One served artifact in its wire form.
 
-    With ``frames is None`` (the v1 path) the result is a JSON-safe
-    ``{"encoding", "data"}`` pair: source text passes through verbatim
-    (never pickled, never base64'd) and executable kernels ship as a
-    base64-encoded pickle.  With a ``frames`` list (the v2 path) the body
-    goes **out of band**: the raw bytes — UTF-8 source, or the pickle with
-    no base64 round-trip — are appended to ``frames`` and the returned pair
-    is ``{"encoding", "frame"}``, referencing the payload frame by index.
+    The body goes **out of band**: the raw bytes — UTF-8 source, or the
+    pickle — are appended to ``frames`` and the returned pair is
+    ``{"encoding", "frame"}``, referencing the payload frame by index.
     """
     if isinstance(artifact, str):
-        if frames is None:
-            return {"encoding": SOURCE_ENCODING, "data": artifact}
         frames.append(artifact.encode("utf-8"))
         return {"encoding": SOURCE_ENCODING, "frame": len(frames) - 1}
     if isinstance(artifact, CompiledKernel):
-        payload = pickle.dumps(artifact)
-        if frames is None:
-            return {
-                "encoding": PICKLED_KERNEL_ENCODING,
-                "data": base64.b64encode(payload).decode("ascii"),
-            }
-        frames.append(payload)
+        frames.append(pickle.dumps(artifact))
         return {"encoding": PICKLED_KERNEL_ENCODING, "frame": len(frames) - 1}
     raise ProtocolError(
         f"cannot encode artifact of type {type(artifact).__name__} for the wire"
     )
 
 
-def _artifact_body(payload: dict, frames) -> bytes | None:
-    """The out-of-band bytes a v2 artifact payload references, or ``None``."""
-    if "frame" not in payload:
-        return None
-    index = payload["frame"]
-    if frames is None:
-        raise ProtocolError("artifact references a payload frame, but the message carries none")
-    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < len(frames):
-        raise ProtocolError(
-            f"artifact frame index {index!r} out of range (message has {len(frames)} frames)"
-        )
-    return frames[index]
-
-
-def decode_artifact(payload: dict, allow_pickled: bool = False, frames=None) -> object:
-    """Rebuild an artifact from its wire form (inline data or a v2 frame).
+def decode_artifact(payload: dict, allow_pickled: bool = False, frames=()) -> object:
+    """Rebuild an artifact from its wire form and the message's frames.
 
     ``allow_pickled`` gates the ``pickled_kernel`` encoding: unpickling
     executes code, so it must only be enabled for transports connected to
     processes this one spawned (the supervisor's own shards).  ``frames``
-    is the message's out-of-band payload frames when decoding v2.
+    is the message's out-of-band payload frames.
     """
-    if not isinstance(payload, dict) or "encoding" not in payload:
+    if not isinstance(payload, dict) or "encoding" not in payload or "frame" not in payload:
         raise ProtocolError(f"malformed artifact payload: {payload!r}")
-    body = _artifact_body(payload, frames)
-    if body is None and "data" not in payload:
-        raise ProtocolError(f"malformed artifact payload: {payload!r}")
+    index = payload["frame"]
+    if not _is_int(index) or not 0 <= index < len(frames):
+        raise ProtocolError(
+            f"artifact frame index {index!r} out of range (message has {len(frames)} frames)"
+        )
+    body = frames[index]
     encoding = payload["encoding"]
     if encoding == SOURCE_ENCODING:
-        if body is not None:
-            try:
-                return str(body, "utf-8")
-            except UnicodeDecodeError as error:
-                raise ProtocolError(f"source artifact frame is not UTF-8: {error}") from None
-        data = payload["data"]
-        if not isinstance(data, str):
-            raise ProtocolError("source artifact data must be text")
-        return data
+        try:
+            return str(body, "utf-8")
+        except UnicodeDecodeError as error:
+            raise ProtocolError(f"source artifact frame is not UTF-8: {error}") from None
     if encoding == PICKLED_KERNEL_ENCODING:
         if not allow_pickled:
             raise ProtocolError(
@@ -288,8 +224,6 @@ def decode_artifact(payload: dict, allow_pickled: bool = False, frames=None) -> 
                 "transport (pass allow_pickled=True only for spawned shards)"
             )
         try:
-            if body is None:
-                body = base64.b64decode(payload["data"])
             artifact = pickle.loads(body)
         except Exception as error:  # noqa: BLE001 - any unpickle failure is protocol-level
             raise ProtocolError(f"corrupt pickled kernel artifact: {error}") from None
@@ -360,7 +294,7 @@ def _decode_request(payload: dict) -> ServeRequest:
     return _rebuild(ServeRequest, payload, "serve request")
 
 
-def _encode_result(result: ServeResult, frames: list | None = None) -> dict:
+def _encode_result(result: ServeResult, frames: list) -> dict:
     return {
         "request": _encode_request(result.request),
         "artifact": encode_artifact(result.artifact, frames),
@@ -373,7 +307,7 @@ def _encode_result(result: ServeResult, frames: list | None = None) -> dict:
     }
 
 
-def _decode_result(payload: dict, allow_pickled: bool, frames=None) -> ServeResult:
+def _decode_result(payload: dict, allow_pickled: bool, frames) -> ServeResult:
     if not isinstance(payload, dict):
         raise ProtocolError(f"malformed serve result payload: {payload!r}")
     fields = dict(payload)
@@ -397,8 +331,7 @@ class ServeCall:
     supervisor samples a request it attaches the trace context
     (:meth:`repro.obs.trace.TraceHandle.wire_field` — trace id, parent span
     id, sampled flag) so the shard's spans join the same trace.  Absent ⇒
-    untraced; a v1 peer's decoder ignores the unknown key, so traced v2
-    supervisors interoperate with untraced v1 shards and vice versa.
+    untraced.
 
     ``deadline_ms`` is a second additive field: the request's end-to-end
     latency budget in milliseconds.  A shard that finishes the request
@@ -406,14 +339,14 @@ class ServeCall:
     call) sheds the result and answers with a
     :class:`~repro.errors.DeadlineExceededError` instead — the reply the
     traffic-replay harness counts as a deadline miss.  Absent ⇒ no
-    deadline; an older peer ignores the key and serves normally.
+    deadline.
 
     ``tenant`` is a third additive field: the tenant namespace the request
     is served under (resident-table keys, tuning-db lookups, per-tenant
     metrics).  Absent ⇒ :data:`~repro.tenancy.DEFAULT_TENANT` — and the
     field is only *emitted* when non-default, so an untenanted envelope is
-    byte-identical to the pre-tenant wire format and v1-era peers/rings
-    interoperate unchanged.  Unlike the tolerant trace/deadline fields, a
+    byte-identical to the pre-tenant wire format.  Unlike the tolerant
+    trace/deadline fields, a
     *present but invalid* tenant id (empty, ``::``/``/``/whitespace) is a
     hard :class:`~repro.errors.ProtocolError` at decode time: a corrupt
     tenant id would silently poison every key it scopes.
@@ -470,8 +403,7 @@ class StatsCall:
 
     ``drain_spans`` additionally asks the shard to drain its tracer's span
     buffer into the reply (``StatsReply.spans``) so the supervisor can merge
-    cluster-wide traces.  Additive: a v1 shard ignores the key and replies
-    without spans.
+    cluster-wide traces.
     """
 
     request_id: int
@@ -518,7 +450,7 @@ class StatsReply:
     ``spans`` carries drained trace spans in their wire-dict form
     (:meth:`repro.obs.trace.Span.to_wire`) when the call asked for them —
     the protocol layer stays decoupled from :mod:`repro.obs` by never
-    interpreting them.  Empty for v1 peers and plain stats calls.
+    interpreting them.  Empty for plain stats calls.
     """
 
     request_id: int
@@ -546,22 +478,17 @@ class PongReply:
 class HelloCall:
     """The supervisor's first frame on a fresh TCP connection.
 
-    Pins the *baseline* protocol version explicitly (belt and braces over
-    the envelope gate: a version mismatch must fail *before* any payload is
+    Pins the protocol version explicitly (belt and braces over the
+    envelope gate: a version mismatch must fail *before* any payload is
     trusted), assigns the shard the ring id it answers as for this session,
     and requests a transport trust level (:data:`TRUST_SOURCE` /
-    :data:`TRUST_PICKLED`).  ``max_protocol`` is the **additive** version
-    negotiation field: the highest version the supervisor can speak.  A v1
-    peer ignores the unknown key (and never sends one, so it defaults to 1
-    on decode); both ends then speak :func:`negotiate_version` of the two
-    maxima for the rest of the connection.
+    :data:`TRUST_PICKLED`).
     """
 
     request_id: int
     protocol_version: int
     shard_id: int
     trust: str
-    max_protocol: int = 1
 
 
 @dataclass(frozen=True)
@@ -570,9 +497,7 @@ class HelloReply:
 
     ``trust`` is :func:`negotiate_trust` of the supervisor's request and the
     listener's policy — both sides must honour it for every later frame on
-    the connection.  ``max_protocol`` mirrors the hello's version
-    negotiation: the highest version this shard can speak (absent from a v1
-    peer's reply, defaulting to 1).
+    the connection.
     """
 
     request_id: int
@@ -580,7 +505,6 @@ class HelloReply:
     pid: int
     protocol_version: int
     trust: str
-    max_protocol: int = 1
 
 
 #: Control actions a :class:`ControlCall` may carry.
@@ -682,7 +606,7 @@ def _stats_from_payload(payload: dict, allow_pickled: bool) -> StatsReply:
     for name in ("warm_histogram", "cold_histogram"):
         value = fields.get(name)
         if not isinstance(value, (list, tuple)) or not all(
-            isinstance(count, int) for count in value
+            _is_int(count) and count >= 0 for count in value
         ):
             raise ProtocolError(f"malformed stats histogram {name!r}: {value!r}")
         fields[name] = tuple(value)
@@ -717,7 +641,7 @@ def _decode_deadline_field(value) -> float | None:
     Tolerant like the trace field — diagnostic-adjacent freight from a
     newer peer must degrade to "no deadline", never break the serve path.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0:
+    if (_is_int(value) or isinstance(value, float)) and value > 0:
         return float(value)
     return None
 
@@ -725,8 +649,8 @@ def _decode_deadline_field(value) -> float | None:
 def _decode_tenant_field(value) -> str:
     """The envelope's additive ``tenant`` field: a validated id or default.
 
-    Absent (``None``) means :data:`~repro.tenancy.DEFAULT_TENANT` — the
-    v1-era interoperability contract.  A *present* value is validated
+    Absent (``None``) means :data:`~repro.tenancy.DEFAULT_TENANT`.  A
+    *present* value is validated
     **strictly**: unlike the tolerant trace/deadline fields, a corrupt
     tenant id cannot degrade to default, because it would silently reroute
     one tenant's traffic (and tuning writes) into another's namespace.
@@ -767,27 +691,23 @@ def _validate_hello(message):
     """Shared field validation for both handshake directions."""
     if message.trust not in _TRUST_LEVELS:
         raise ProtocolError(f"unknown transport trust level {message.trust!r}")
-    for name in ("request_id", "protocol_version", "shard_id", "max_protocol"):
-        if not isinstance(getattr(message, name), int):
+    for name in ("protocol_version", "shard_id"):
+        if not _is_int(getattr(message, name)):
             raise ProtocolError(f"handshake field {name!r} must be an integer")
-    if message.max_protocol < 1:
-        raise ProtocolError(
-            f"handshake advertises impossible protocol version {message.max_protocol}"
-        )
     return message
 
 
 def _request_id(payload: dict) -> int:
     value = payload.get("request_id")
-    if not isinstance(value, int):
+    if not _is_int(value):
         raise ProtocolError(f"message carries no integer request_id: {payload!r}")
     return value
 
 
 #: type tag -> (message class, payload encoder, payload decoder).
-#: Encoders take ``(message, frames)`` — ``frames`` is ``None`` on the v1
-#: path or a list to append out-of-band byte frames to on the v2 path.
-#: Decoders take ``(payload, allow_pickled, frames)`` symmetrically.
+#: Encoders take ``(message, frames)`` — ``frames`` is the list to append
+#: out-of-band byte frames to.  Decoders take ``(payload, allow_pickled,
+#: frames)`` symmetrically.
 _MESSAGE_TYPES = {
     "serve": (
         ServeCall,
@@ -914,138 +834,96 @@ Message = (
 
 
 def encode_message(message: Message, version: int = PROTOCOL_VERSION) -> bytes:
-    """One message in its wire form at ``version``.
+    """One message as container bytes: magic, length-prefixed JSON
+    envelope, then the message's out-of-band payload frames, each
+    length-prefixed and declared in the envelope's ``"frames"`` list.
 
-    ``version=1`` (the default, and what every pre-negotiation frame uses)
-    is UTF-8 JSON inside the versioned envelope.  ``version=2`` is the
-    binary container: magic, length-prefixed JSON envelope, then the
-    message's out-of-band payload frames, each length-prefixed and declared
-    in the envelope's ``"frames"`` list.  Only send v2 on connections that
-    negotiated it — a v1 peer rejects the container.
+    ``version`` must be :data:`PROTOCOL_VERSION`; any other value raises
+    :class:`~repro.errors.ProtocolError`.
     """
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(f"cannot encode protocol version {version!r}")
     tag = _TYPE_OF_CLASS.get(type(message))
     if tag is None:
         raise ProtocolError(f"cannot encode message of type {type(message).__name__}")
     _, encode, _ = _MESSAGE_TYPES[tag]
-    if version == PROTOCOL_VERSION:
-        envelope = {
-            _ENVELOPE_KEY: PROTOCOL_VERSION,
-            "type": tag,
-            "payload": encode(message, None),
-        }
-        return json.dumps(envelope, sort_keys=True).encode("utf-8")
-    if version == PROTOCOL_VERSION_2:
-        frames: list[bytes] = []
-        payload = encode(message, frames)
-        envelope = {
-            _ENVELOPE_KEY: PROTOCOL_VERSION_2,
-            "type": tag,
-            "payload": payload,
-            "frames": [len(frame) for frame in frames],
-        }
-        head = json.dumps(envelope, sort_keys=True).encode("utf-8")
-        parts = [FRAME_MAGIC, len(head).to_bytes(4, "big"), head]
-        for frame in frames:
-            parts.append(len(frame).to_bytes(4, "big"))
-            parts.append(frame)
-        return b"".join(parts)
-    raise ProtocolError(f"cannot encode protocol version {version!r}")
-
-
-def _decode_v2(data: bytes, allow_pickled: bool) -> Message:
-    """Decode one binary-container message (the bytes after magic-detection).
-
-    Every structural violation — a truncated envelope, a payload frame
-    whose length prefix disagrees with the envelope's declaration, a
-    truncated or over-long final frame, trailing garbage — raises
-    :class:`~repro.errors.ProtocolError`; frames are handed to payload
-    decoders as memoryview slices, so no byte of an artifact body is copied
-    until its consumer asks for it.
-    """
-    view = memoryview(data)
-    offset = len(FRAME_MAGIC)
-    if len(view) < offset + 4:
-        raise ProtocolError("truncated v2 message: missing envelope length")
-    head_length = int.from_bytes(view[offset : offset + 4], "big")
-    offset += 4
-    if head_length == 0 or head_length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"implausible v2 envelope length {head_length}")
-    if len(view) < offset + head_length:
-        raise ProtocolError("truncated v2 message: envelope shorter than declared")
-    try:
-        envelope = json.loads(str(view[offset : offset + head_length], "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"undecodable v2 envelope: {error}") from None
-    offset += head_length
-    if not isinstance(envelope, dict) or _ENVELOPE_KEY not in envelope:
-        raise ProtocolError("v2 message is not a moma-serve envelope")
-    version = envelope[_ENVELOPE_KEY]
-    if version != PROTOCOL_VERSION_2:
-        raise ProtocolError(
-            f"v2 container carries envelope version {version!r}, expected "
-            f"{PROTOCOL_VERSION_2}"
-        )
-    declared = envelope.get("frames", [])
-    if not isinstance(declared, list) or not all(
-        isinstance(length, int) and not isinstance(length, bool) and 0 <= length <= MAX_FRAME_BYTES
-        for length in declared
-    ):
-        raise ProtocolError(f"malformed v2 frame table: {declared!r}")
-    frames = []
-    for index, length in enumerate(declared):
-        if len(view) < offset + 4:
-            raise ProtocolError(f"truncated v2 message: missing frame {index} length")
-        prefixed = int.from_bytes(view[offset : offset + 4], "big")
-        offset += 4
-        if prefixed != length:
-            raise ProtocolError(
-                f"v2 frame {index} length mismatch: envelope declares {length}, "
-                f"frame prefix says {prefixed}"
-            )
-        if len(view) < offset + length:
-            raise ProtocolError(
-                f"truncated v2 message: frame {index} shorter than declared"
-            )
-        frames.append(view[offset : offset + length])
-        offset += length
-    if offset != len(view):
-        raise ProtocolError(
-            f"v2 message carries {len(view) - offset} trailing bytes after its frames"
-        )
-    tag = envelope.get("type")
-    if tag not in _MESSAGE_TYPES:
-        raise ProtocolError(f"unknown message type {tag!r}")
-    _, _, decode = _MESSAGE_TYPES[tag]
-    payload = envelope.get("payload")
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"message {tag!r} carries no payload object")
-    return decode(payload, allow_pickled, tuple(frames))
+    frames: list[bytes] = []
+    payload = encode(message, frames)
+    envelope = {
+        _ENVELOPE_KEY: PROTOCOL_VERSION,
+        "type": tag,
+        "payload": payload,
+        "frames": [len(frame) for frame in frames],
+    }
+    head = json.dumps(envelope, sort_keys=True).encode("utf-8")
+    parts = [FRAME_MAGIC, len(head).to_bytes(4, "big"), head]
+    for frame in frames:
+        parts.append(len(frame).to_bytes(4, "big"))
+        parts.append(frame)
+    return b"".join(parts)
 
 
 def decode_message(data: bytes, allow_pickled: bool = False) -> Message:
-    """Rebuild a message from its encoded bytes (either wire version).
+    """Rebuild a message from its container bytes.
 
-    The leading bytes disambiguate: :data:`FRAME_MAGIC` selects the v2
-    binary container, anything else is treated as a v1 JSON envelope.
-    Rejects non-JSON v1 data, an envelope with an unknown version, and
-    unknown message types — all with :class:`~repro.errors.ProtocolError`.
+    Every structural violation — bytes without the container magic, a
+    truncated envelope, a foreign envelope or an unknown version, a payload
+    frame whose length prefix disagrees with the envelope's declaration, a
+    truncated or over-long final frame, trailing garbage, an unknown
+    message type — raises :class:`~repro.errors.ProtocolError`.  Frames are
+    handed to payload decoders as memoryview slices, so no byte of an
+    artifact body is copied until its consumer asks for it.
     ``allow_pickled`` is forwarded to :func:`decode_artifact` for result
     messages.
     """
-    if bytes(data[: len(FRAME_MAGIC)]) == FRAME_MAGIC:
-        return _decode_v2(data, allow_pickled)
+    view = memoryview(data)
+    offset = len(FRAME_MAGIC)
+    if bytes(view[:offset]) != FRAME_MAGIC:
+        raise ProtocolError("undecodable wire message: not a moma-serve container")
+    if len(view) < offset + 4:
+        raise ProtocolError("truncated message: missing envelope length")
+    head_length = int.from_bytes(view[offset : offset + 4], "big")
+    offset += 4
+    if head_length == 0 or head_length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"implausible envelope length {head_length}")
+    if len(view) < offset + head_length:
+        raise ProtocolError("truncated message: envelope shorter than declared")
     try:
-        envelope = json.loads(data.decode("utf-8"))
+        envelope = json.loads(str(view[offset : offset + head_length], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"undecodable wire message: {error}") from None
+        raise ProtocolError(f"undecodable envelope: {error}") from None
+    offset += head_length
     if not isinstance(envelope, dict) or _ENVELOPE_KEY not in envelope:
         raise ProtocolError("wire message is not a moma-serve envelope")
     version = envelope[_ENVELOPE_KEY]
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version!r} (this build speaks "
-            f"{PROTOCOL_VERSION} JSON envelopes and negotiates up to "
-            f"{MAX_PROTOCOL_VERSION} in the handshake)"
+            f"{PROTOCOL_VERSION})"
+        )
+    declared = envelope.get("frames", [])
+    if not isinstance(declared, list) or not all(
+        _is_int(length) and 0 <= length <= MAX_FRAME_BYTES for length in declared
+    ):
+        raise ProtocolError(f"malformed frame table: {declared!r}")
+    frames = []
+    for index, length in enumerate(declared):
+        if len(view) < offset + 4:
+            raise ProtocolError(f"truncated message: missing frame {index} length")
+        prefixed = int.from_bytes(view[offset : offset + 4], "big")
+        offset += 4
+        if prefixed != length:
+            raise ProtocolError(
+                f"frame {index} length mismatch: envelope declares {length}, "
+                f"frame prefix says {prefixed}"
+            )
+        if len(view) < offset + length:
+            raise ProtocolError(f"truncated message: frame {index} shorter than declared")
+        frames.append(view[offset : offset + length])
+        offset += length
+    if offset != len(view):
+        raise ProtocolError(
+            f"message carries {len(view) - offset} trailing bytes after its frames"
         )
     tag = envelope.get("type")
     if tag not in _MESSAGE_TYPES:
@@ -1054,75 +932,18 @@ def decode_message(data: bytes, allow_pickled: bool = False) -> Message:
     payload = envelope.get("payload")
     if not isinstance(payload, dict):
         raise ProtocolError(f"message {tag!r} carries no payload object")
-    return decode(payload, allow_pickled, None)
-
-
-# -- pre-encoded liveness probes ---------------------------------------------
-
-#: A request-id value that cannot collide with real traffic, used once to
-#: build the ping/pong byte templates below.
-_TEMPLATE_SENTINEL = 987654321987654321
-
-
-def _split_template(message: Message) -> tuple[bytes, bytes]:
-    """(prefix, suffix) of the message's v1 bytes around the sentinel id."""
-    encoded = encode_message(message)
-    prefix, _, suffix = encoded.partition(str(_TEMPLATE_SENTINEL).encode("ascii"))
-    return prefix, suffix
-
-
-_PING_TEMPLATE = _split_template(PingCall(request_id=_TEMPLATE_SENTINEL))
-
-_pong_templates: dict[tuple[int, int], tuple[bytes, bytes]] = {}
-
-
-def encode_ping(request_id: int) -> bytes:
-    """``encode_message(PingCall(request_id))`` from a pre-built template.
-
-    Liveness probes fire every couple of seconds on every remote
-    connection; splicing the request id into pre-encoded bytes skips the
-    per-probe ``json.dumps(sort_keys=True)`` pass entirely.
-    """
-    if not isinstance(request_id, int) or isinstance(request_id, bool):
-        raise ProtocolError(f"ping request_id must be an integer, got {request_id!r}")
-    prefix, suffix = _PING_TEMPLATE
-    return b"%b%d%b" % (prefix, request_id, suffix)
-
-
-def encode_pong(request_id: int, shard_id: int, pid: int) -> bytes:
-    """``encode_message(PongReply(...))`` from a per-(shard, pid) template.
-
-    A shard answers every ping with the same ``shard_id``/``pid``, so the
-    whole reply except the request id is encoded exactly once per process.
-    """
-    if not isinstance(request_id, int) or isinstance(request_id, bool):
-        raise ProtocolError(f"pong request_id must be an integer, got {request_id!r}")
-    template = _pong_templates.get((shard_id, pid))
-    if template is None:
-        template = _split_template(
-            PongReply(request_id=_TEMPLATE_SENTINEL, shard_id=shard_id, pid=pid)
-        )
-        _pong_templates[(shard_id, pid)] = template
-    prefix, suffix = template
-    return b"%b%d%b" % (prefix, request_id, suffix)
+    _request_id(payload)  # every message type carries one
+    return decode(payload, allow_pickled, tuple(frames))
 
 
 # -- stream framing ----------------------------------------------------------
 
 
-def write_message(stream: io.BufferedIOBase, message: Message) -> None:
-    """Write one length-prefixed frame (4-byte big-endian length + message)."""
-    data = encode_message(message)
-    stream.write(len(data).to_bytes(4, "big") + data)
-    stream.flush()
-
-
 def _read_exact(stream, count: int) -> bytes:
     """Up to ``count`` bytes, looping over short reads; shorter only at EOF.
 
-    ``BufferedReader.read`` over a pipe already blocks for the full count,
-    but a raw or socket-backed stream may legally return fewer bytes per
-    call — a single ``stream.read(n)`` is **not** a protocol-safe read.
+    A raw or socket-backed stream may legally return fewer bytes per call —
+    a single ``stream.read(n)`` is **not** a protocol-safe read.
     """
     data = bytearray()
     while len(data) < count:
@@ -1157,29 +978,20 @@ def read_frame(stream: io.BufferedIOBase) -> bytes | None:
     return data
 
 
-def read_message(
-    stream: io.BufferedIOBase, allow_pickled: bool = False
-) -> Message | None:
-    """Read one frame and decode it; ``None`` on clean EOF at a boundary."""
-    frame = read_frame(stream)
-    if frame is None:
-        return None
-    return decode_message(frame, allow_pickled=allow_pickled)
-
-
 class StreamConnection:
-    """A framed socket behind the ``multiprocessing.Connection`` byte API.
+    """A framed socket: the one transport between supervisor and shards.
 
-    Adapts one connected socket to the ``send_bytes`` / ``recv_bytes`` /
-    ``close`` surface the shard loop and the supervisor's readers already
-    speak, so pipe and TCP transports share every line of serving code.
-    Frames are the stream framing above; ``recv_bytes`` raises ``EOFError``
-    on a clean close (mirroring ``Connection``) and
-    :class:`~repro.errors.ProtocolError` on a torn or corrupt frame.
+    Wraps one connected socket — a ``socket.socketpair()`` end for a
+    spawned local shard, a TCP connection for a remote one — in the
+    ``send_bytes`` / ``send_many`` / ``recv_bytes`` / ``close`` surface the
+    shard loop and the supervisor's readers speak, so both kinds of shard
+    share every line of serving code.  Each frame is a 4-byte big-endian
+    length prefix plus one encoded message; ``recv_bytes`` raises
+    ``EOFError`` on a clean close and :class:`~repro.errors.ProtocolError`
+    on a torn, empty or over-:data:`MAX_FRAME_BYTES` frame.
 
     ``send_bytes`` and ``recv_bytes`` are each single-caller (one sender
-    thread holding the caller's send lock, one reader thread), matching how
-    both the shard loop and the supervisor use their pipes today.
+    thread holding the caller's send lock, one reader thread).
     """
 
     def __init__(self, sock) -> None:

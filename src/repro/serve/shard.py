@@ -12,7 +12,8 @@ Two halves live here:
 * :func:`run_shard` — the shard process entry point: one
   :class:`~repro.serve.KernelServer` wrapped in the wire protocol.  It reads
   :class:`~repro.serve.protocol.ServeCall` / ``StatsCall`` / ``PingCall`` /
-  ``ShutdownCall`` messages from its supervisor pipe, dispatches serve calls
+  ``ShutdownCall`` messages from its end of the supervisor's socketpair
+  (a :class:`~repro.serve.protocol.StreamConnection`), dispatches serve calls
   onto the server's worker pool, and writes replies back **as they
   complete** (out of order; the ``request_id`` correlates them), so one slow
   cold request never blocks a shard's warm traffic.
@@ -21,8 +22,8 @@ Two halves live here:
   connections** (one session thread each over the shared server — this is
   what backs the supervisor's per-shard connection pool); every connection
   starts with a :class:`~repro.serve.protocol.HelloCall` handshake that
-  negotiates the wire version (v1 JSON or v2 binary frames) and the
-  transport trust level (source-only by default: executable artifacts are
+  pins the protocol version and negotiates the transport trust level
+  (source-only by default: executable artifacts are
   downgraded to source text and pickled payloads are rejected — see
   ``docs/wire-protocol.md``).  When a supervisor disconnects, the shard
   keeps its warm state and goes back to accepting, so a restarted
@@ -224,21 +225,15 @@ def _serve_connection(
     shard_id: int,
     server: KernelServer,
     trusted: bool,
-    wire_version: int = protocol.PROTOCOL_VERSION,
 ) -> bool:
     """Serve one supervisor connection until shutdown or disconnect.
 
-    The transport-agnostic message loop shared by the pipe and TCP shards:
-    ``connection`` is anything with the ``multiprocessing.Connection`` byte
-    API (a real pipe, or a :class:`~repro.serve.protocol.StreamConnection`
-    over a socket).  ``trusted`` is the transport's trust level: on an
+    The message loop shared by spawned and TCP shards: ``connection`` is a
+    :class:`~repro.serve.protocol.StreamConnection` over a socketpair end
+    or a TCP socket.  ``trusted`` is the transport's trust level: on an
     untrusted (source-only) transport, incoming pickled payloads are
     rejected at decode and every outgoing executable artifact is downgraded
     to its source text (:func:`~repro.serve.protocol.source_only_result`).
-    ``wire_version`` is the *negotiated* protocol version replies are
-    encoded at (requests are decoded at whatever version they arrive in —
-    the magic disambiguates); pongs always go out as pre-encoded v1 bytes,
-    which every peer accepts.
 
     Returns ``True`` if a :class:`~repro.serve.protocol.ShutdownCall` asked
     the shard to exit, ``False`` if the supervisor merely went away (EOF or
@@ -254,7 +249,7 @@ def _serve_connection(
                 pass  # supervisor is gone; the loop will see EOF and exit
 
     def reply(message: protocol.Message) -> None:
-        reply_bytes(protocol.encode_message(message, version=wire_version))
+        reply_bytes(protocol.encode_message(message))
 
     def finish(request_id: int, future, trace=None, deadline_at=None) -> None:
         try:
@@ -278,7 +273,7 @@ def _serve_connection(
             reply(message)
             return
         encode_started = time.perf_counter()
-        data = protocol.encode_message(message, version=wire_version)
+        data = protocol.encode_message(message)
         encode_s = time.perf_counter() - encode_started
         trace.record(
             "wire.encode",
@@ -367,8 +362,10 @@ def _serve_connection(
                 )
             )
         elif isinstance(message, protocol.PingCall):
-            reply_bytes(
-                protocol.encode_pong(message.request_id, shard_id, os.getpid())
+            reply(
+                protocol.PongReply(
+                    request_id=message.request_id, shard_id=shard_id, pid=os.getpid()
+                )
             )
         elif isinstance(message, protocol.ControlCall):
             # Warmup/invalidation can take seconds (they compile kernels), so
@@ -409,7 +406,7 @@ def _serve_connection(
 
 
 def run_shard(
-    connection,
+    sock,
     shard_id: int,
     devices: tuple[str, ...],
     db_path=None,
@@ -422,55 +419,40 @@ def run_shard(
     memory).  A replica torn by a crashed writer must not crash-loop the
     shard: an unreadable file is quarantined (renamed ``*.corrupt``) and the
     shard starts over with an empty replica — the same "corrupt replicas are
-    skippable" stance reconciliation takes.  Serve calls run on the server's
-    worker pool and reply through ``connection`` as they complete; stats and
+    skippable" stance reconciliation takes.  ``sock`` is this shard's end
+    of the supervisor's ``socket.socketpair()``, framed exactly like a TCP
+    session (:class:`~repro.serve.protocol.StreamConnection`).  Serve calls
+    run on the server's worker pool and reply as they complete; stats and
     ping calls answer inline.  A
     :class:`~repro.serve.protocol.ShutdownCall` — or the supervisor closing
-    its end of the pipe — drains the server and exits.
+    its end of the socketpair — drains the server and exits.
 
-    The pipe transport is fully trusted (the supervisor spawned this very
-    process), so executable artifacts cross as pickles — and since both
-    ends are by construction the same build, replies use the newest wire
-    version outright (v2 binary frames skip the pickle→base64 inflation).
+    The socketpair is fully trusted (the supervisor spawned this very
+    process), so executable artifacts cross as pickles and there is no
+    handshake.
     """
+    connection = protocol.StreamConnection(sock)
     db = _open_replica(db_path)
     server = KernelServer(db=db, devices=devices, workers=workers)
     try:
-        _serve_connection(
-            connection,
-            shard_id,
-            server,
-            trusted=True,
-            wire_version=protocol.MAX_PROTOCOL_VERSION,
-        )
+        _serve_connection(connection, shard_id, server, trusted=True)
     finally:
         server.close()
-        try:
-            connection.close()
-        except OSError:
-            pass
+        connection.close()
 
 
-def _accept_handshake(
-    connection,
-    default_shard_id: int,
-    trust_policy: str,
-    max_protocol: int = protocol.MAX_PROTOCOL_VERSION,
-):
+def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
     """Validate a fresh connection's hello.
 
-    Returns ``(session shard id, granted trust, negotiated wire version)``.
+    Returns ``(session shard id, granted trust)``.
 
     The first frame must be a :class:`~repro.serve.protocol.HelloCall`
-    pinning the v1 base protocol; anything else — a stale supervisor, a
-    port scanner, a version-skewed build — is refused with a best-effort
-    :class:`~repro.serve.protocol.ErrorReply` and a
+    pinning :data:`~repro.serve.protocol.PROTOCOL_VERSION`; anything else —
+    a stale supervisor, a port scanner, a version-skewed build — is refused
+    with a best-effort :class:`~repro.serve.protocol.ErrorReply` and a
     :class:`~repro.errors.ProtocolError` here (the caller drops the
     connection and keeps listening).  The granted trust is the weaker of
-    the supervisor's request and this listener's policy; the wire version
-    is the *lower* of the peers' maxima (a hello from a build that predates
-    ``max_protocol`` simply negotiates v1), so mixed clusters keep working.
-    The hello exchange itself is always v1-encoded.
+    the supervisor's request and this listener's policy.
     """
     message = protocol.decode_message(connection.recv_bytes())
     if not isinstance(message, protocol.HelloCall):
@@ -483,9 +465,6 @@ def _accept_handshake(
             f"this shard speaks {protocol.PROTOCOL_VERSION}"
         )
     granted = protocol.negotiate_trust(message.trust, trust_policy)
-    wire_version = protocol.negotiate_version(
-        max_protocol, getattr(message, "max_protocol", 1)
-    )
     shard_id = message.shard_id if message.shard_id >= 0 else default_shard_id
     connection.send_bytes(
         protocol.encode_message(
@@ -495,11 +474,10 @@ def _accept_handshake(
                 pid=os.getpid(),
                 protocol_version=protocol.PROTOCOL_VERSION,
                 trust=granted,
-                max_protocol=max_protocol,
             )
         )
     )
-    return shard_id, granted, wire_version
+    return shard_id, granted
 
 
 def serve_shard_tcp(
@@ -511,7 +489,6 @@ def serve_shard_tcp(
     workers: int = 4,
     trust: str = protocol.TRUST_SOURCE,
     on_bound=None,
-    max_protocol: int = protocol.MAX_PROTOCOL_VERSION,
     metrics_port: int | None = None,
 ) -> None:
     """Serve one shard over a TCP listener (the ``--listen`` entry point).
@@ -520,11 +497,10 @@ def serve_shard_tcp(
     ``db_path``) lives for the whole listener lifetime, so its resident
     table and kernel cache stay warm across supervisor reconnects.  The
     listener accepts **concurrent supervisor connections** — each runs its
-    own session thread over the shared server, which is what lets a v2
+    own session thread over the shared server, which is what lets a
     supervisor keep a small connection pool per shard.  Each accepted
     socket must complete a :func:`handshake <_accept_handshake>` within
-    :data:`HANDSHAKE_TIMEOUT_S` (pinning the v1 base protocol, negotiating
-    the wire version up to ``max_protocol``, adopting the
+    :data:`HANDSHAKE_TIMEOUT_S` (pinning the protocol version, adopting the
     supervisor-assigned ring id, and negotiating trust — ``trust`` is the
     most this listener's operator allows, :data:`~repro.serve.protocol.TRUST_SOURCE`
     by default so cross-machine serving never ships executable pickles).
@@ -591,15 +567,12 @@ def serve_shard_tcp(
     def session(connection) -> None:
         try:
             connection.settimeout(HANDSHAKE_TIMEOUT_S)
-            session_id, granted, wire_version = _accept_handshake(
-                connection, shard_id, trust, max_protocol
-            )
+            session_id, granted = _accept_handshake(connection, shard_id, trust)
             connection.settimeout(None)
             _LOG.info(
-                "shard %d accepted a supervisor session (trust %s, wire v%d)",
+                "shard %d accepted a supervisor session (trust %s)",
                 session_id,
                 granted,
-                wire_version,
             )
         except ProtocolError as error:
             _LOG.warning("shard %d refused a handshake: %s", shard_id, error)
@@ -621,7 +594,6 @@ def serve_shard_tcp(
             session_id,
             server,
             trusted=granted == protocol.TRUST_PICKLED,
-            wire_version=wire_version,
         )
         connection.close()
         if asked_to_stop:

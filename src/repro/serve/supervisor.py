@@ -8,7 +8,9 @@ server (``submit()`` returning a future, blocking ``serve()``, and a
 unchanged):
 
 * **Spawning** — each local shard is a real OS process running
-  :func:`~repro.serve.shard.run_shard` over a ``multiprocessing`` pipe,
+  :func:`~repro.serve.shard.run_shard` over one end of a
+  ``socket.socketpair()``, framed by the same
+  :class:`~repro.serve.protocol.StreamConnection` as a TCP session, and
   owning its device subset and its own tuning-database *replica* file
   (:func:`~repro.tune.reconcile.replica_path`), so shards share nothing at
   runtime.
@@ -29,9 +31,8 @@ unchanged):
 * **The fast wire** — each shard connection is a :class:`_Link` whose
   sender thread coalesces every call queued since its last flush into one
   write (out-of-order replies already correlate by ``request_id``, so
-  batching the write path changes no semantics).  Remote sessions that
-  negotiate protocol v2 in the handshake get a small keep-alive connection
-  *pool* per shard and binary artifact frames on replies; wire-path costs
+  batching the write path changes no semantics).  Remote shards get a
+  small keep-alive connection *pool* each; wire-path costs
   (encode/decode/route/flush time, bytes, messages-per-flush) are profiled
   into :attr:`ClusterStats.wire`.
 * **Monitoring & restart** — a monitor thread watches shard liveness; a
@@ -344,7 +345,7 @@ class _Link:
 
 
 class _ShardHandle:
-    """One local shard process: its pipe link, pending futures, reader."""
+    """One local shard process: its socketpair link, pending futures, reader."""
 
     def __init__(self, shard_id: int, devices: tuple[str, ...]) -> None:
         self.shard_id = shard_id
@@ -368,8 +369,7 @@ class _ShardHandle:
         self.pending_lock = threading.Lock()
         self.restarts = 0
         self.next_restart_at = 0.0  # monotonic; 0.0 = respawn immediately
-        self.trusted = True  # pipes connect processes we spawned ourselves
-        self.wire_version = protocol.MAX_PROTOCOL_VERSION  # pipes: same build
+        self.trusted = True  # a socketpair connects a process we spawned
         self._round_robin = 0
         self._no_link_lock = threading.Lock()
 
@@ -425,7 +425,6 @@ class _RemoteShardHandle(_ShardHandle):
         super().__init__(shard_id, devices)
         self.address = address
         self.trusted = False  # until the handshake says otherwise
-        self.wire_version = protocol.PROTOCOL_VERSION  # until negotiated up
         self.reader_done = True  # not yet connected
         self.last_pong = 0.0
         self.last_ping_sent = 0.0
@@ -488,17 +487,9 @@ class ShardSupervisor:
         connect_timeout: how long to keep re-trying the initial connection
             to each remote shard before failing construction (listeners are
             often still starting when the supervisor comes up).
-        pool: keep-alive connections per remote shard.  Pools beyond the
-            first connection are only dialed when the handshake negotiated
-            protocol v2 (a v1-era listener serves one connection at a
-            time, so pooling against it would wedge); extra dials are
-            best-effort — a shard that grants fewer connections still
-            serves over the ones it granted.
-        max_protocol: the highest wire version this supervisor will
-            negotiate (default: the build's
-            :data:`~repro.serve.protocol.MAX_PROTOCOL_VERSION`; pass 1 to
-            force v1 JSON framing everywhere, e.g. while a mixed-version
-            rollout completes).
+        pool: keep-alive connections per remote shard.  Dials beyond the
+            first connection are best-effort — a shard that grants fewer
+            connections still serves over the ones it granted.
         tracer: the :class:`~repro.obs.trace.Tracer` sampling and retaining
             this supervisor's request traces.  Sampled requests carry their
             trace context to shards in the envelope's additive ``trace``
@@ -531,7 +522,6 @@ class ShardSupervisor:
         remote_trust: str = protocol.TRUST_SOURCE,
         connect_timeout: float = 10.0,
         pool: int = 2,
-        max_protocol: int = protocol.MAX_PROTOCOL_VERSION,
         tracer: tracing.Tracer | None = None,
         tenants: tuple = (),
     ) -> None:
@@ -550,18 +540,12 @@ class ShardSupervisor:
             raise ServingError(f"unknown remote trust level {remote_trust!r}")
         if pool < 1:
             raise ServingError(f"connection pool size must be positive, got {pool}")
-        if not 1 <= max_protocol <= protocol.MAX_PROTOCOL_VERSION:
-            raise ServingError(
-                f"max_protocol must be between 1 and "
-                f"{protocol.MAX_PROTOCOL_VERSION}, got {max_protocol}"
-            )
         self.devices = tuple(devices)
         self.db_path = Path(db) if db is not None else None
         self.workers = workers
         self.restart = restart
         self._remote_trust = remote_trust
         self._pool = pool
-        self._max_protocol = max_protocol
         self.tracer = tracer if tracer is not None else tracing.Tracer(sample_rate=0.0)
         self.tenants = TenantRegistry(tenants)
         self._wire = WireProfile()
@@ -617,7 +601,7 @@ class ShardSupervisor:
         return replica_path(self.db_path, shard_id)
 
     def _start_shard(self, handle: _ShardHandle) -> None:
-        parent, child = self._context.Pipe()
+        parent, child = socket.socketpair()
         process = self._context.Process(
             target=run_shard,
             args=(child, handle.shard_id, handle.devices),
@@ -631,7 +615,7 @@ class ShardSupervisor:
         process.start()
         child.close()
         handle.process = process
-        self._attach_link(handle, parent)
+        self._attach_link(handle, protocol.StreamConnection(parent))
 
     def _attach_link(self, handle: _ShardHandle, connection) -> _Link:
         """Wrap a connected transport in a link with sender/reader threads."""
@@ -657,14 +641,13 @@ class ShardSupervisor:
         """Drain a link's outbox in whole batches — the coalescing flush.
 
         Every wakeup takes *everything* queued since the last flush and
-        writes it in one buffered flush (``send_many`` on sockets — one
-        syscall burst per batch — or a ``send_bytes`` run on pipes), so N
-        pending calls cost one flush instead of N.  A write failure poisons
+        writes it in one buffered ``send_many`` flush — one syscall burst
+        per batch — so N pending calls cost one flush instead of N.  A
+        write failure poisons
         the connection; the reader sees EOF and the monitor re-routes the
         pending work, exactly as for a send failure on the old direct path.
         """
         connection = link.connection
-        send_many = getattr(connection, "send_many", None)
         while True:
             with link.wakeup:
                 while not link.outbox and not link.closed:
@@ -676,11 +659,7 @@ class ShardSupervisor:
             started = time.perf_counter()
             try:
                 with link.send_lock:
-                    if send_many is not None:
-                        send_many(batch)
-                    else:
-                        for data in batch:
-                            connection.send_bytes(data)
+                    connection.send_many(batch)
             except (OSError, ValueError):
                 self._poison(connection)
                 return
@@ -721,15 +700,11 @@ class ShardSupervisor:
     def _handshake_remote(self, handle: _RemoteShardHandle):
         """One connect + hello exchange; raises on any failure.
 
-        Returns ``(connection, granted trust, negotiated wire version)``.
-        The hello pins :data:`~repro.serve.protocol.PROTOCOL_VERSION` (the
-        base framing the handshake itself uses), advertises this
-        supervisor's ``max_protocol``, assigns the shard its ring id for
-        this session, and requests ``remote_trust``; the reply's *granted*
-        trust governs whether results on this connection may carry
-        executable pickles, and the reply's ``max_protocol`` (absent on a
-        v1-era peer, hence defaulted to 1) caps the wire version replies
-        are framed at.
+        Returns ``(connection, granted trust)``.  The hello pins
+        :data:`~repro.serve.protocol.PROTOCOL_VERSION`, assigns the shard
+        its ring id for this session, and requests ``remote_trust``; the
+        reply's *granted* trust governs whether results on this connection
+        may carry executable pickles.
         """
         sock = socket.create_connection(
             handle.address, timeout=_CONNECT_ATTEMPT_TIMEOUT_S
@@ -744,7 +719,6 @@ class ShardSupervisor:
                         protocol_version=protocol.PROTOCOL_VERSION,
                         shard_id=handle.shard_id,
                         trust=self._remote_trust,
-                        max_protocol=self._max_protocol,
                     )
                 )
             )
@@ -774,48 +748,33 @@ class ShardSupervisor:
         # we requested ourselves, so a malicious listener "granting" pickled
         # on a source-only connection cannot make us unpickle its payloads.
         granted = protocol.negotiate_trust(self._remote_trust, reply.trust)
-        # Same stance for the wire version: never negotiate above our own
-        # maximum, whatever the peer advertises.
-        try:
-            negotiated = protocol.negotiate_version(
-                self._max_protocol, getattr(reply, "max_protocol", 1)
-            )
-        except ProtocolError as error:
-            connection.close()
-            raise ServingError(str(error)) from error
-        return connection, granted, negotiated
+        return connection, granted
 
     def _connect_remote(self, handle: _RemoteShardHandle) -> None:
         """Establish a remote shard's link pool; raises on primary failure.
 
-        The primary connection's handshake decides the session's trust and
-        wire version.  When v2 was negotiated, up to ``pool - 1`` extra
-        keep-alive connections are dialed **best-effort** (each with its
-        own handshake): a failure, or an extra connection whose handshake
-        disagrees with the primary's trust or version, just stops pool
-        growth — pooling against a one-connection-at-a-time v1 listener
-        would wedge, which is why v1 sessions never pool.
+        The primary connection's handshake decides the session's trust.  Up
+        to ``pool - 1`` extra keep-alive connections are then dialed
+        **best-effort** (each with its own handshake): a failure, or an
+        extra connection whose handshake disagrees with the primary's
+        trust, just stops pool growth.
         """
-        connection, granted, negotiated = self._handshake_remote(handle)
+        connection, granted = self._handshake_remote(handle)
         handle.trusted = granted == protocol.TRUST_PICKLED
-        handle.wire_version = negotiated
         handle.reader_done = False
         now = time.monotonic()
         handle.last_pong = now
         handle.last_ping_sent = now
         self._attach_link(handle, connection)
-        if negotiated >= protocol.PROTOCOL_VERSION_2:
-            for _ in range(self._pool - 1):
-                try:
-                    extra, extra_granted, extra_negotiated = self._handshake_remote(
-                        handle
-                    )
-                except (OSError, ServingError):
-                    break  # serve over the links we already have
-                if extra_granted != granted or extra_negotiated != negotiated:
-                    extra.close()
-                    break
-                self._attach_link(handle, extra)
+        for _ in range(self._pool - 1):
+            try:
+                extra, extra_granted = self._handshake_remote(handle)
+            except (OSError, ServingError):
+                break  # serve over the links we already have
+            if extra_granted != granted:
+                extra.close()
+                break
+            self._attach_link(handle, extra)
 
     # -- per-shard reader ---------------------------------------------------
 
@@ -850,7 +809,7 @@ class ShardSupervisor:
                     len(data), time.perf_counter() - decode_started
                 )
             except ProtocolError:
-                # An undecodable reply means reply correlation on this pipe
+                # An undecodable reply means reply correlation on this link
                 # is lost (we cannot know whose answer this was).  Poison
                 # the connection: the shard sees EOF and exits, the monitor
                 # respawns it and re-routes every pending request — a
@@ -961,10 +920,10 @@ class ShardSupervisor:
         with handle.pending_lock:
             handle.pending[request_id] = (None, None, future, None, None)
         try:
-            # Pings ride the pre-encoded v1 template (every peer accepts
-            # v1): no json.dumps on the 2 s liveness path.
             with handle.send_lock:
-                handle.connection.send_bytes(protocol.encode_ping(request_id))
+                handle.connection.send_bytes(
+                    protocol.encode_message(protocol.PingCall(request_id=request_id))
+                )
         except (OSError, ValueError, AttributeError):
             with handle.pending_lock:
                 handle.pending.pop(request_id, None)
@@ -1292,9 +1251,8 @@ class ShardSupervisor:
         resident table (:func:`~repro.serve.warmup.warm_server`) without a
         restart; ``tenant`` scopes the pass to one namespace, ``None``
         warms them all.  Returns shard id → warmup summary; a shard that
-        cannot run the pass (unreachable, or a v1-era build without the
-        control message) reports an ``"error"`` entry instead of failing
-        the broadcast.
+        cannot run the pass (unreachable, or failing it) reports an
+        ``"error"`` entry instead of failing the broadcast.
         """
         return self._control(
             functools.partial(
@@ -1361,8 +1319,7 @@ class ShardSupervisor:
 
         Drains the supervisor's own tracer and asks every live shard for its
         retained spans (a :class:`~repro.serve.protocol.StatsCall` with
-        ``drain_spans`` set — a v1 shard ignores the flag and contributes
-        nothing), returning one merged, time-ordered tuple ready for
+        ``drain_spans`` set), returning one merged, time-ordered tuple ready for
         :func:`repro.obs.export.write_chrome_trace`.  A shard that died or
         ships a span this build cannot parse is skipped, never fatal.
         """

@@ -1,14 +1,16 @@
-"""Wire-protocol round trips: every message type, framing, version gates.
+"""Wire-protocol round trips: every message type, the container, framing.
 
 The property under test is that a message survives the wire *exactly* —
 including a pickled executable kernel artifact that must compute the same
 results after crossing — and that every malformed input (wrong version,
-unknown type, truncated frame, untrusted pickle) is rejected with
-:class:`ProtocolError`, never half-decoded.
+unknown type, non-container bytes, truncated or inconsistent frames,
+trailing bytes, untrusted pickle) is rejected with :class:`ProtocolError`,
+never half-decoded.  Framing is tested on :class:`protocol.StreamConnection`
+over a real socketpair, the path every shard link runs.  The container's
+own guarantees and its frame fuzzing live in ``test_protocol_v2.py``.
 """
 
 import dataclasses
-import io
 import json
 import random
 import socket
@@ -37,6 +39,61 @@ def round_trip(message, allow_pickled=False):
     return protocol.decode_message(
         protocol.encode_message(message), allow_pickled=allow_pickled
     )
+
+
+def split(blob: bytes) -> tuple[dict, bytes]:
+    """A container's JSON envelope and the frame bytes that follow it."""
+    offset = len(protocol.FRAME_MAGIC)
+    head_length = int.from_bytes(blob[offset : offset + 4], "big")
+    head = json.loads(blob[offset + 4 : offset + 4 + head_length].decode("utf-8"))
+    return head, blob[offset + 4 + head_length :]
+
+
+def rebuild(head, tail: bytes = b"") -> bytes:
+    """A container around ``head`` with ``tail`` as its frame bytes."""
+    data = json.dumps(head, sort_keys=True).encode("utf-8")
+    return protocol.FRAME_MAGIC + len(data).to_bytes(4, "big") + data + tail
+
+
+def tamper(blob: bytes, **envelope_overrides) -> bytes:
+    """Rebuild a container with its JSON envelope fields overridden.
+
+    The frame bytes after the envelope are preserved verbatim, so a
+    mismatch between what the envelope *declares* and what the frames
+    *are* can be manufactured precisely.
+    """
+    head, tail = split(blob)
+    head.update(envelope_overrides)
+    return rebuild(head, tail)
+
+
+def tamper_payload(message, **payload_overrides) -> bytes:
+    """``message`` encoded, with payload fields overridden on the wire."""
+    head, tail = split(protocol.encode_message(message))
+    head["payload"].update(payload_overrides)
+    return rebuild(head, tail)
+
+
+def stream_pair():
+    """Two connected ``StreamConnection`` ends over a real socketpair."""
+    left, right = socket.socketpair()
+    right.settimeout(30.0)  # a hang fails loudly, not forever
+    return protocol.StreamConnection(left), protocol.StreamConnection(right)
+
+
+def feed_raw(raw: bytes) -> bytes:
+    """Write ``raw`` bytes then EOF; return what ``recv_bytes`` makes of it."""
+    writer, reader_sock = socket.socketpair()
+    reader_sock.settimeout(30.0)
+    reader = protocol.StreamConnection(reader_sock)
+    try:
+        if raw:
+            writer.sendall(raw)
+        writer.shutdown(socket.SHUT_WR)
+        return reader.recv_bytes()
+    finally:
+        writer.close()
+        reader.close()
 
 
 class TestMessageRoundTrips:
@@ -108,6 +165,22 @@ class TestMessageRoundTrips:
         message = protocol.StatsReply(request_id=11, stats=stats)
         assert round_trip(message) == message
 
+    @pytest.mark.parametrize("bad", [True, -1, 1.5, "2"])
+    def test_stats_histogram_counts_must_be_non_negative_integers(self, bad):
+        # A bool or a negative count would corrupt the merged p50/p95.
+        stats = protocol.ShardStats(
+            shard_id=1, pid=1234, requests=1, warm_serves=1, cold_serves=0,
+            dedup_hits=0, errors=0, tune_batches=0, batched_tunes=0,
+            queue_depth=0, resident_kernels=1,
+            warm_histogram=(0, 1), cold_histogram=(0, 0),
+        )
+        head, tail = split(
+            protocol.encode_message(protocol.StatsReply(request_id=1, stats=stats))
+        )
+        head["payload"]["stats"]["warm_histogram"] = [0, bad]
+        with pytest.raises(ProtocolError, match="histogram"):
+            protocol.decode_message(rebuild(head, tail))
+
     @pytest.mark.parametrize(
         "message",
         [
@@ -123,99 +196,132 @@ class TestMessageRoundTrips:
 
 class TestArtifactEncoding:
     def test_pickled_kernel_requires_trust(self, served):
-        payload = protocol.encode_artifact(served.artifact)
+        frames = []
+        payload = protocol.encode_artifact(served.artifact, frames)
         assert payload["encoding"] == "pickled_kernel"
         with pytest.raises(ProtocolError, match="untrusted"):
-            protocol.decode_artifact(payload)  # allow_pickled defaults to False
+            protocol.decode_artifact(payload, frames=frames)  # allow_pickled defaults to False
 
     def test_source_passes_untrusted(self):
-        payload = protocol.encode_artifact("void k();")
-        assert protocol.decode_artifact(payload) == "void k();"
+        frames = []
+        payload = protocol.encode_artifact("void k();", frames)
+        assert protocol.decode_artifact(payload, frames=frames) == "void k();"
 
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ProtocolError, match="unknown artifact encoding"):
-            protocol.decode_artifact({"encoding": "dll", "data": ""}, allow_pickled=True)
+            protocol.decode_artifact(
+                {"encoding": "dll", "frame": 0}, allow_pickled=True, frames=(b"",)
+            )
 
     def test_unencodable_artifact_rejected(self):
         with pytest.raises(ProtocolError, match="cannot encode"):
-            protocol.encode_artifact(object())
+            protocol.encode_artifact(object(), [])
 
     def test_corrupt_pickle_rejected(self):
-        payload = {"encoding": "pickled_kernel", "data": "not base64 pickle!"}
+        payload = {"encoding": "pickled_kernel", "frame": 0}
         with pytest.raises(ProtocolError, match="corrupt"):
-            protocol.decode_artifact(payload, allow_pickled=True)
+            protocol.decode_artifact(
+                payload, allow_pickled=True, frames=(b"not a pickle!",)
+            )
 
 
 class TestVersionAndShape:
     def test_unknown_version_rejected(self):
         data = protocol.encode_message(protocol.PingCall(request_id=1))
-        envelope = json.loads(data)
-        envelope["moma-serve"] = protocol.PROTOCOL_VERSION + 1
         with pytest.raises(ProtocolError, match="unsupported protocol version"):
-            protocol.decode_message(json.dumps(envelope).encode())
+            protocol.decode_message(
+                tamper(data, **{"moma-serve": protocol.PROTOCOL_VERSION + 1})
+            )
 
     def test_unknown_message_type_rejected(self):
-        envelope = {"moma-serve": protocol.PROTOCOL_VERSION, "type": "warp", "payload": {}}
+        data = tamper(
+            protocol.encode_message(protocol.PingCall(request_id=1)),
+            type="warp",
+            payload={},
+        )
         with pytest.raises(ProtocolError, match="unknown message type"):
-            protocol.decode_message(json.dumps(envelope).encode())
+            protocol.decode_message(data)
 
     def test_non_json_rejected(self):
-        with pytest.raises(ProtocolError, match="undecodable"):
-            protocol.decode_message(b"\x00\x01binary")
+        # Anything without the container magic, a JSON envelope included.
+        envelope = {"moma-serve": 1, "type": "ping", "payload": {"request_id": 1}}
+        for data in (b"\x00\x01binary", json.dumps(envelope).encode()):
+            with pytest.raises(ProtocolError, match="undecodable"):
+                protocol.decode_message(data)
 
     def test_foreign_envelope_rejected(self):
         with pytest.raises(ProtocolError, match="not a moma-serve envelope"):
-            protocol.decode_message(json.dumps({"jsonrpc": "2.0"}).encode())
+            protocol.decode_message(rebuild({"jsonrpc": "2.0"}))
 
     def test_missing_request_id_rejected(self):
-        envelope = {
-            "moma-serve": protocol.PROTOCOL_VERSION,
-            "type": "ping",
-            "payload": {},
-        }
+        data = tamper(protocol.encode_message(protocol.PingCall(request_id=1)), payload={})
         with pytest.raises(ProtocolError, match="request_id"):
-            protocol.decode_message(json.dumps(envelope).encode())
+            protocol.decode_message(data)
+
+    def test_boolean_request_id_rejected(self):
+        # JSON true is not request 1: accepted, it would resolve whichever
+        # call the supervisor had pending under id 1.
+        data = tamper_payload(
+            protocol.PongReply(request_id=1, shard_id=0, pid=7), request_id=True
+        )
+        with pytest.raises(ProtocolError, match="request_id"):
+            protocol.decode_message(data)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, 1.5])
+    def test_non_integer_request_ids_rejected(self, bad):
+        # Every message type, calls and replies alike, is checked before
+        # its payload decoder runs.
+        for message in (
+            protocol.PingCall(request_id=1),
+            protocol.PongReply(request_id=1, shard_id=0, pid=7),
+            protocol.StatsCall(request_id=1),
+            protocol.ShutdownCall(request_id=1),
+            protocol.ErrorReply.from_exception(1, TuningError("x")),
+        ):
+            with pytest.raises(ProtocolError, match="request_id"):
+                protocol.decode_message(tamper_payload(message, request_id=bad))
 
     def test_unknown_payload_keys_are_ignored(self):
         # Additive optional fields may ride within a protocol version.
-        envelope = {
-            "moma-serve": protocol.PROTOCOL_VERSION,
-            "type": "ping",
-            "payload": {"request_id": 8, "future_field": True},
-        }
-        decoded = protocol.decode_message(json.dumps(envelope).encode())
-        assert decoded == protocol.PingCall(request_id=8)
+        data = tamper_payload(protocol.PingCall(request_id=8), future_field=True)
+        assert protocol.decode_message(data) == protocol.PingCall(request_id=8)
 
 
 class TestFraming:
     def test_stream_round_trip_preserves_order(self):
-        stream = io.BytesIO()
         messages = [
             protocol.PingCall(request_id=1),
             protocol.StatsCall(request_id=2),
             protocol.ShutdownCall(request_id=3),
         ]
-        for message in messages:
-            protocol.write_message(stream, message)
-        stream.seek(0)
-        assert [protocol.read_message(stream) for _ in messages] == messages
-        assert protocol.read_message(stream) is None  # clean EOF
+        sender, receiver = stream_pair()
+        try:
+            for message in messages:
+                sender.send_bytes(protocol.encode_message(message))
+            sender.close()
+            received = [
+                protocol.decode_message(receiver.recv_bytes()) for _ in messages
+            ]
+            assert received == messages
+            with pytest.raises(EOFError):  # clean EOF at a frame boundary
+                receiver.recv_bytes()
+        finally:
+            receiver.close()
 
     def test_truncated_frame_rejected(self):
-        stream = io.BytesIO()
-        protocol.write_message(stream, protocol.PingCall(request_id=1))
-        data = stream.getvalue()
+        data = protocol.encode_message(protocol.PingCall(request_id=1))
+        frame = len(data).to_bytes(4, "big") + data
         with pytest.raises(ProtocolError, match="truncated"):
-            protocol.read_message(io.BytesIO(data[:-3]))
+            feed_raw(frame[:-3])
 
     def test_short_length_prefix_rejected(self):
         with pytest.raises(ProtocolError, match="short length prefix"):
-            protocol.read_message(io.BytesIO(b"\x00\x01"))
+            feed_raw(b"\x00\x01")
 
     def test_implausible_length_rejected(self):
         prefix = (protocol.MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="implausible"):
-            protocol.read_message(io.BytesIO(prefix + b"x"))
+            feed_raw(prefix + b"x")
 
 
 class TestHandshakeMessages:
@@ -248,6 +354,19 @@ class TestHandshakeMessages:
         with pytest.raises(ProtocolError, match="trust level"):
             round_trip(message)
 
+    @pytest.mark.parametrize(
+        "field, value", [("protocol_version", True), ("shard_id", False)]
+    )
+    def test_boolean_handshake_fields_rejected(self, field, value):
+        hello = protocol.HelloCall(
+            request_id=1,
+            protocol_version=protocol.PROTOCOL_VERSION,
+            shard_id=0,
+            trust=protocol.TRUST_SOURCE,
+        )
+        with pytest.raises(ProtocolError, match=field):
+            protocol.decode_message(tamper_payload(hello, **{field: value}))
+
     def test_negotiate_trust_grants_the_weaker_side(self):
         pickled, source = protocol.TRUST_PICKLED, protocol.TRUST_SOURCE
         assert protocol.negotiate_trust(pickled, pickled) == pickled
@@ -271,32 +390,24 @@ class TestSocketFuzz:
     """Malformed frames over a real socketpair must always fail cleanly.
 
     Every outcome of feeding truncated / oversized / garbage bytes into
-    :func:`protocol.read_message` must be a :class:`ProtocolError` (or a
-    clean-EOF ``None``) — never a hang, an ``OverflowError``, or a
-    ``MemoryError`` from trusting a corrupt length prefix.  The reader side
-    uses an *unbuffered* socket file, so ``stream.read(n)`` legally returns
-    short — exactly the case the ``_read_exact`` loop exists for.
+    :meth:`protocol.StreamConnection.recv_bytes` and then
+    :func:`protocol.decode_message` must be a :class:`ProtocolError` (or a
+    clean-EOF ``EOFError``) — never a hang, an ``OverflowError``, or a
+    ``MemoryError`` from trusting a corrupt length prefix.
     """
 
     @staticmethod
-    def feed(payload: bytes):
-        """Deliver ``payload`` then EOF; return/raise read_message's outcome."""
-        writer, reader_sock = socket.socketpair()
-        with writer, reader_sock:
-            reader_sock.settimeout(30.0)  # a hang fails loudly, not forever
-            reader = reader_sock.makefile("rb", buffering=0)
-            if payload:
-                writer.sendall(payload)
-            writer.shutdown(socket.SHUT_WR)
-            return protocol.read_message(reader)
+    def feed(raw: bytes):
+        """Deliver ``raw`` then EOF; return/raise the decoded outcome."""
+        return protocol.decode_message(feed_raw(raw))
 
     def test_empty_stream_is_clean_eof(self):
-        assert self.feed(b"") is None
+        with pytest.raises(EOFError):
+            self.feed(b"")
 
     def test_every_truncation_of_a_valid_frame_is_rejected(self):
-        stream = io.BytesIO()
-        protocol.write_message(stream, protocol.PingCall(request_id=9))
-        frame = stream.getvalue()
+        data = protocol.encode_message(protocol.PingCall(request_id=9))
+        frame = len(data).to_bytes(4, "big") + data
         for cut in range(1, len(frame)):
             with pytest.raises(ProtocolError):
                 self.feed(frame[:cut])
@@ -326,22 +437,25 @@ class TestSocketFuzz:
                 pass  # the only acceptable exception
 
     def test_valid_frame_survives_dribbled_delivery(self):
-        # One byte at a time across the socket: _read_exact must reassemble.
-        stream = io.BytesIO()
-        protocol.write_message(stream, protocol.StatsCall(request_id=5))
-        frame = stream.getvalue()
+        # One byte at a time across the socket: the reader must reassemble.
+        data = protocol.encode_message(protocol.StatsCall(request_id=5))
+        frame = len(data).to_bytes(4, "big") + data
         writer, reader_sock = socket.socketpair()
-        with writer, reader_sock:
-            reader_sock.settimeout(30.0)
-            reader = reader_sock.makefile("rb", buffering=0)
+        reader_sock.settimeout(30.0)
+        reader = protocol.StreamConnection(reader_sock)
 
-            def dribble():
-                for index in range(len(frame)):
-                    writer.sendall(frame[index : index + 1])
-                    time.sleep(0.001)
-                writer.shutdown(socket.SHUT_WR)
+        def dribble():
+            for index in range(len(frame)):
+                writer.sendall(frame[index : index + 1])
+                time.sleep(0.001)
+            writer.shutdown(socket.SHUT_WR)
 
-            feeder = threading.Thread(target=dribble, daemon=True)
-            feeder.start()
-            assert protocol.read_message(reader) == protocol.StatsCall(request_id=5)
+        feeder = threading.Thread(target=dribble, daemon=True)
+        feeder.start()
+        try:
+            decoded = protocol.decode_message(reader.recv_bytes())
+            assert decoded == protocol.StatsCall(request_id=5)
+        finally:
             feeder.join(timeout=10)
+            writer.close()
+            reader.close()

@@ -1,19 +1,16 @@
-"""Protocol v2: binary payload frames, negotiation, and frame fuzzing.
+"""The binary container (protocol version 2), frame fuzzing, fast framing.
 
-The acceptance properties of the fast wire live here: every message
-round-trips through the v2 binary container (artifact bodies as raw
-length-prefixed frames — no base64, no JSON string-escaping), a v2 kernel
-reply is strictly smaller than its v1 JSON+base64 form, decoders accept
-*both* encodings without being told which is coming (the frame magic
-disambiguates), version negotiation is min(local, peer) with v1-era peers
-defaulting to 1, and every malformed v2 container — truncated frames,
+The acceptance properties of the wire live here: every message round-trips
+through the container (artifact bodies as raw length-prefixed frames — no
+base64, no JSON string-escaping), no JSON text can be mistaken for a
+container, and every malformed container — truncated frames,
 envelope/frame length disagreements, garbage, trailing bytes — fails with
-:class:`ProtocolError`, never a hang or a bad allocation.
+:class:`ProtocolError`, never a hang or a bad allocation.  The fuzzed bytes
+travel through :class:`protocol.StreamConnection`, the framing every shard
+link runs.
 """
 
 import dataclasses
-import io
-import json
 import socket
 
 import pytest
@@ -22,11 +19,10 @@ from repro.core.codegen.python_exec import CompiledKernel
 from repro.errors import ProtocolError
 from repro.serve import KernelServer, ServeRequest
 from repro.serve import protocol
+from tests.serve.test_protocol import feed_raw, rebuild, split, stream_pair, tamper
 
 BITS = 128
 SIZE = 16
-
-V2 = protocol.PROTOCOL_VERSION_2
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +32,19 @@ def served():
         yield server.serve(ServeRequest(kind="ntt", bits=BITS, size=SIZE))
 
 
-def round_trip_v2(message, allow_pickled=False):
+@pytest.fixture(scope="module")
+def source_result(served):
+    """``served`` with a short source-text artifact (one payload frame)."""
+    return dataclasses.replace(
+        served,
+        request=dataclasses.replace(served.request, target="cuda"),
+        artifact="def kernel(x):\n    return x\n",
+    )
+
+
+def round_trip(message, allow_pickled=False):
     return protocol.decode_message(
-        protocol.encode_message(message, version=V2), allow_pickled=allow_pickled
+        protocol.encode_message(message), allow_pickled=allow_pickled
     )
 
 
@@ -53,22 +59,20 @@ class TestV2RoundTrips:
             protocol.PingCall(request_id=9),
             protocol.ShutdownCall(request_id=10),
         ):
-            assert round_trip_v2(message) == message
+            assert round_trip(message) == message
 
     def test_v2_blob_starts_with_magic(self):
-        data = protocol.encode_message(protocol.PingCall(request_id=1), version=V2)
+        data = protocol.encode_message(protocol.PingCall(request_id=1))
         assert data[: len(protocol.FRAME_MAGIC)] == protocol.FRAME_MAGIC
 
     def test_magic_is_invalid_utf8(self):
-        # The disambiguation guarantee: a v2 blob can never parse as a v1
-        # JSON envelope, so a confused v1-only decoder fails cleanly
-        # instead of mis-reading it.
+        # No JSON text can be mistaken for a container.
         with pytest.raises(UnicodeDecodeError):
             protocol.FRAME_MAGIC.decode("utf-8")
 
     def test_pickled_kernel_round_trips_through_a_binary_frame(self, served):
         message = protocol.ServeReply(request_id=9, result=served)
-        decoded = round_trip_v2(message, allow_pickled=True)
+        decoded = round_trip(message, allow_pickled=True)
         result = decoded.result
         assert result.request == served.request
         assert isinstance(result.artifact, CompiledKernel)
@@ -83,215 +87,76 @@ class TestV2RoundTrips:
             artifact=source,
         )
         data = protocol.encode_message(
-            protocol.ServeReply(request_id=1, result=source_result), version=V2
+            protocol.ServeReply(request_id=1, result=source_result)
         )
         # Zero-copy into the payload frame: the raw bytes appear verbatim,
-        # un-escaped (the v1 JSON form escapes every newline as \\n).
+        # un-escaped (a JSON string would escape every newline as \\n).
         assert source.encode("utf-8") in data
         decoded = protocol.decode_message(data)
         assert decoded.result.artifact == source
 
-    def test_kernel_reply_is_smaller_than_v1(self, served):
-        # The size half of the perf claim: no base64 (+33%) on the pickle.
-        message = protocol.ServeReply(request_id=9, result=served)
-        v1 = protocol.encode_message(message)
-        v2 = protocol.encode_message(message, version=V2)
-        assert len(v2) < len(v1)
-
     def test_pickled_frame_is_trust_gated(self, served):
-        data = protocol.encode_message(
-            protocol.ServeReply(request_id=9, result=served), version=V2
-        )
+        data = protocol.encode_message(protocol.ServeReply(request_id=9, result=served))
         with pytest.raises(ProtocolError, match="unpickle"):
             protocol.decode_message(data, allow_pickled=False)
 
     def test_unknown_encode_version_rejected(self):
-        with pytest.raises(ProtocolError, match="version"):
-            protocol.encode_message(protocol.PingCall(request_id=1), version=3)
+        for version in (1, 3):
+            with pytest.raises(ProtocolError, match="version"):
+                protocol.encode_message(protocol.PingCall(request_id=1), version=version)
 
-    def test_decoder_accepts_both_encodings_unannounced(self):
-        message = protocol.PingCall(request_id=5)
-        for data in (
-            protocol.encode_message(message),
-            protocol.encode_message(message, version=V2),
-        ):
-            assert protocol.decode_message(data) == message
-
-
-class TestNegotiation:
-    def test_min_wins(self):
-        assert protocol.negotiate_version(2, 1) == 1
-        assert protocol.negotiate_version(1, 2) == 1
-        assert protocol.negotiate_version(2, 2) == 2
-        # A future peer advertising v3 still lands on our maximum.
-        assert protocol.negotiate_version(2, 3) == 2
-
-    def test_impossible_peer_versions_rejected(self):
-        for bad in (0, -1, True, "2", None, 1.5):
-            with pytest.raises(ProtocolError, match="impossible"):
-                protocol.negotiate_version(2, bad)
-
-    def test_hello_carries_max_protocol(self):
-        hello = protocol.HelloCall(
-            request_id=1,
-            protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust=protocol.TRUST_SOURCE,
-            max_protocol=2,
-        )
-        assert protocol.decode_message(protocol.encode_message(hello)).max_protocol == 2
-
-    def test_v1_era_hello_defaults_to_max_protocol_1(self):
-        # A peer built before negotiation existed sends no max_protocol
-        # field at all; the decoder must default it to 1, which is what
-        # makes min(local, peer) collapse mixed clusters onto v1.
-        hello = protocol.HelloCall(
-            request_id=1,
-            protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust=protocol.TRUST_SOURCE,
-        )
-        envelope = json.loads(protocol.encode_message(hello).decode("utf-8"))
-        del envelope["payload"]["max_protocol"]
-        decoded = protocol.decode_message(json.dumps(envelope).encode("utf-8"))
-        assert decoded.max_protocol == 1
-
-    def test_nonpositive_max_protocol_in_hello_rejected(self):
-        hello = protocol.HelloCall(
-            request_id=1,
-            protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust=protocol.TRUST_SOURCE,
-        )
-        envelope = json.loads(protocol.encode_message(hello).decode("utf-8"))
-        envelope["payload"]["max_protocol"] = 0
-        with pytest.raises(ProtocolError):
-            protocol.decode_message(json.dumps(envelope).encode("utf-8"))
-
-
-class TestPreEncodedProbes:
-    def test_ping_matches_encode_message(self):
-        for request_id in (1, 42, 987654321987654320, 10**19):
-            assert protocol.encode_ping(request_id) == protocol.encode_message(
-                protocol.PingCall(request_id=request_id)
-            )
-
-    def test_pong_matches_encode_message(self):
-        for request_id, shard_id, pid in ((1, 0, 100), (77, 3, 43210)):
-            assert protocol.encode_pong(
-                request_id, shard_id, pid
-            ) == protocol.encode_message(
-                protocol.PongReply(request_id=request_id, shard_id=shard_id, pid=pid)
-            )
-
-    def test_non_integer_request_ids_rejected(self):
-        for bad in (True, "1", None, 1.5):
-            with pytest.raises(ProtocolError):
-                protocol.encode_ping(bad)
-            with pytest.raises(ProtocolError):
-                protocol.encode_pong(bad, 0, 1)
-
-
-def v2_blob(message=None):
-    """A valid v2 wire blob carrying at least one payload frame."""
-    if message is None:
-        message = protocol.ServeReply(
-            request_id=3,
-            result=_SOURCE_RESULT,
-        )
-    return protocol.encode_message(message, version=V2)
-
-
-def tamper(blob: bytes, **envelope_overrides) -> bytes:
-    """Rebuild a v2 blob with its JSON envelope fields overridden.
-
-    The frame bytes after the envelope are preserved verbatim, so a
-    mismatch between what the envelope *declares* and what the frames
-    *are* can be manufactured precisely.
-    """
-    offset = len(protocol.FRAME_MAGIC)
-    head_length = int.from_bytes(blob[offset : offset + 4], "big")
-    head = json.loads(blob[offset + 4 : offset + 4 + head_length].decode("utf-8"))
-    tail = blob[offset + 4 + head_length :]
-    head.update(envelope_overrides)
-    new_head = json.dumps(head, sort_keys=True).encode("utf-8")
-    return (
-        protocol.FRAME_MAGIC
-        + len(new_head).to_bytes(4, "big")
-        + new_head
-        + tail
-    )
-
-
-_SOURCE_RESULT = None  # populated by the fixture below
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _source_result(served):
-    global _SOURCE_RESULT
-    _SOURCE_RESULT = dataclasses.replace(
-        served,
-        request=dataclasses.replace(served.request, target="cuda"),
-        artifact="def kernel(x):\n    return x\n",
-    )
-    yield
-    _SOURCE_RESULT = None
+    def test_version_alias_encodes_the_container(self):
+        # Callers that still pass version=MAX_PROTOCOL_VERSION get exactly
+        # the default encoding.
+        message = protocol.PingCall(request_id=4)
+        assert protocol.encode_message(
+            message, version=protocol.MAX_PROTOCOL_VERSION
+        ) == protocol.encode_message(message)
 
 
 class TestV2Fuzz:
-    """Malformed v2 containers over a real socketpair: always ProtocolError.
+    """Malformed containers over a real socketpair: always ProtocolError.
 
-    The bytes travel through the real stream framing (4-byte prefix +
-    body over an unbuffered socket file) exactly as they would between a
-    supervisor and a TCP shard, so short reads and mid-frame EOF are
+    The bytes travel through the real stream framing (4-byte prefix + body
+    read by :class:`protocol.StreamConnection`) exactly as they would
+    between a supervisor and a shard, so short reads and mid-frame EOF are
     exercised too, not just the in-memory decoder.
     """
 
     @staticmethod
     def feed(payload: bytes, allow_pickled: bool = False):
         """Deliver one stream frame around ``payload``; decode its message."""
-        writer, reader_sock = socket.socketpair()
-        with writer, reader_sock:
-            reader_sock.settimeout(30.0)  # a hang fails loudly, not forever
-            reader = reader_sock.makefile("rb", buffering=0)
-            writer.sendall(len(payload).to_bytes(4, "big") + payload)
-            writer.shutdown(socket.SHUT_WR)
-            return protocol.read_message(reader, allow_pickled=allow_pickled)
+        frame = feed_raw(len(payload).to_bytes(4, "big") + payload)
+        return protocol.decode_message(frame, allow_pickled=allow_pickled)
 
-    def test_valid_blob_survives_the_stream(self):
-        decoded = self.feed(v2_blob())
-        assert decoded.result.artifact == _SOURCE_RESULT.artifact
+    @staticmethod
+    def blob(source_result) -> bytes:
+        """A valid container carrying one payload frame."""
+        return protocol.encode_message(
+            protocol.ServeReply(request_id=3, result=source_result)
+        )
 
-    def test_every_truncation_is_rejected(self):
-        blob = v2_blob()
+    def test_valid_blob_survives_the_stream(self, source_result):
+        decoded = self.feed(self.blob(source_result))
+        assert decoded.result.artifact == source_result.artifact
+
+    def test_every_truncation_is_rejected(self, source_result):
+        blob = self.blob(source_result)
         for cut in range(len(protocol.FRAME_MAGIC), len(blob)):
             with pytest.raises(ProtocolError):
                 self.feed(blob[:cut])
 
-    def test_trailing_garbage_rejected(self):
+    def test_trailing_garbage_rejected(self, source_result):
         with pytest.raises(ProtocolError, match="trailing"):
-            self.feed(v2_blob() + b"xx")
+            self.feed(self.blob(source_result) + b"xx")
 
-    def test_envelope_frame_length_mismatch_rejected(self):
-        blob = v2_blob()
-        declared = tamper(blob)  # identity rebuild, sanity
-        assert protocol.decode_message(declared).request_id == 3
-        head = json.loads(
-            blob[
-                len(protocol.FRAME_MAGIC) + 4 : len(protocol.FRAME_MAGIC)
-                + 4
-                + int.from_bytes(
-                    blob[len(protocol.FRAME_MAGIC) : len(protocol.FRAME_MAGIC) + 4],
-                    "big",
-                )
-            ].decode("utf-8")
-        )
-        lengths = head["frames"]
+    def test_envelope_frame_length_mismatch_rejected(self, source_result):
+        blob = self.blob(source_result)
+        assert protocol.decode_message(tamper(blob)).request_id == 3  # identity rebuild
+        lengths = split(blob)[0]["frames"]
         assert lengths, "the fixture blob must carry a payload frame"
         for delta in (-1, 1, 1000):
             wrong = [lengths[0] + delta] + lengths[1:]
-            if wrong[0] < 0:
-                continue
             with pytest.raises(ProtocolError, match="mismatch|truncated|trailing"):
                 self.feed(tamper(blob, frames=wrong))
 
@@ -300,53 +165,47 @@ class TestV2Fuzz:
             with pytest.raises(ProtocolError):
                 self.feed(protocol.FRAME_MAGIC + garbage)
 
-    def test_huge_declared_frame_never_allocates(self):
-        blob = v2_blob()
+    def test_huge_declared_frame_never_allocates(self, source_result):
+        blob = self.blob(source_result)
         with pytest.raises(ProtocolError, match="malformed|truncated"):
             self.feed(tamper(blob, frames=[protocol.MAX_FRAME_BYTES + 1]))
 
-    def test_malformed_frame_tables_rejected(self):
-        blob = v2_blob()
+    def test_malformed_frame_tables_rejected(self, source_result):
+        blob = self.blob(source_result)
         for bad in ({"a": 1}, [True], [-1], ["4"], [None]):
             with pytest.raises(ProtocolError, match="malformed"):
                 self.feed(tamper(blob, frames=bad))
 
-    def test_wrong_envelope_version_inside_container_rejected(self):
-        with pytest.raises(ProtocolError, match="version"):
-            self.feed(tamper(v2_blob(), **{"moma-serve": 1}))
+    def test_wrong_envelope_version_inside_container_rejected(self, source_result):
+        # The retired v1 number, written into a well-formed container.
+        with pytest.raises(ProtocolError, match="unsupported protocol version"):
+            self.feed(tamper(self.blob(source_result), **{"moma-serve": 1}))
 
-    def test_bad_frame_reference_rejected(self):
+    def test_bad_frame_reference_rejected(self, source_result):
         # The payload references frame 0; an envelope declaring no frames
         # (and shipping none) leaves the reference dangling.
-        blob = v2_blob()
-        offset = len(protocol.FRAME_MAGIC)
-        head_length = int.from_bytes(blob[offset : offset + 4], "big")
-        head = json.loads(blob[offset + 4 : offset + 4 + head_length].decode("utf-8"))
+        head, _ = split(self.blob(source_result))
         head["frames"] = []
-        new_head = json.dumps(head, sort_keys=True).encode("utf-8")
-        naked = protocol.FRAME_MAGIC + len(new_head).to_bytes(4, "big") + new_head
-        with pytest.raises(ProtocolError):
-            self.feed(naked)
+        with pytest.raises(ProtocolError, match="out of range"):
+            self.feed(rebuild(head))
 
-    def test_undecodable_source_frame_rejected(self):
+    def test_undecodable_source_frame_rejected(self, source_result):
         # A source-text frame whose bytes are not UTF-8 must fail decode,
         # not surface mojibake as kernel source.
-        blob = v2_blob()
-        body = _SOURCE_RESULT.artifact.encode("utf-8")
+        blob = self.blob(source_result)
+        body = source_result.artifact.encode("utf-8")
         swapped = blob.replace(
             len(body).to_bytes(4, "big") + body,
             len(body).to_bytes(4, "big") + b"\xff" * len(body),
         )
         assert swapped != blob
-        with pytest.raises(ProtocolError, match="UTF-8|utf-8|undecodable"):
+        with pytest.raises(ProtocolError, match="UTF-8"):
             self.feed(swapped)
 
 
 class TestStreamConnectionFastPath:
     def test_send_many_is_one_flush_of_many_frames(self):
-        left, right = socket.socketpair()
-        sender = protocol.StreamConnection(left)
-        receiver = protocol.StreamConnection(right)
+        sender, receiver = stream_pair()
         try:
             payloads = [b"alpha", b"bravo" * 100, b"c"]
             sender.send_many(payloads)
@@ -357,13 +216,12 @@ class TestStreamConnectionFastPath:
             receiver.close()
 
     def test_send_many_of_nothing_is_a_no_op(self):
-        left, right = socket.socketpair()
-        sender = protocol.StreamConnection(left)
+        sender, receiver = stream_pair()
         try:
             sender.send_many([])
         finally:
             sender.close()
-            right.close()
+            receiver.close()
 
     def test_tcp_nodelay_is_set_on_tcp_sockets(self):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -373,7 +231,7 @@ class TestStreamConnectionFastPath:
         server_side, _ = listener.accept()
         try:
             for sock in (client, server_side):
-                connection = protocol.StreamConnection(sock)
+                protocol.StreamConnection(sock)
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
         finally:
             client.close()

@@ -78,6 +78,13 @@ class TestRoutedServing:
         limbs = tuple(range(len(artifact.kernel.params)))
         assert isinstance(artifact.call_limbs(*limbs), tuple)
 
+    def test_local_shards_use_the_socket_framing(self, cluster):
+        # Spawned shards run over a socketpair with the framing TCP uses,
+        # so their frames get the same MAX_FRAME_BYTES guard.
+        supervisor, _, _ = cluster
+        for handle in supervisor._handles.values():
+            assert isinstance(handle.connection, protocol.StreamConnection)
+
 
 class TestAggregatedStats:
     def test_totals_are_sums_of_shards(self, cluster):

@@ -39,12 +39,7 @@ FAMILY_MIX = [
 ]
 
 
-def start_listener(
-    trust=protocol.TRUST_SOURCE,
-    shard_id=0,
-    workers=2,
-    max_protocol=protocol.MAX_PROTOCOL_VERSION,
-):
+def start_listener(trust=protocol.TRUST_SOURCE, shard_id=0, workers=2):
     """One TCP shard in a daemon thread; returns (address, thread)."""
     bound: queue.Queue = queue.Queue()
     thread = threading.Thread(
@@ -55,7 +50,6 @@ def start_listener(
             shard_id=shard_id,
             workers=workers,
             trust=trust,
-            max_protocol=max_protocol,
             on_bound=bound.put,
         ),
         daemon=True,
@@ -267,6 +261,61 @@ class TestHandshake:
         finally:
             shut_down_listener(address, thread)
 
+    def test_v1_json_hello_is_refused(self):
+        # A JSON envelope from a build that predates the container: the
+        # listener answers with an ErrorReply and keeps accepting.
+        address, thread = start_listener()
+        try:
+            sock = socket.create_connection(address, timeout=5)
+            connection = protocol.StreamConnection(sock)
+            try:
+                hello = {
+                    "moma-serve": 1,
+                    "type": "hello",
+                    "payload": {
+                        "request_id": 1,
+                        "protocol_version": 1,
+                        "shard_id": 0,
+                        "trust": protocol.TRUST_SOURCE,
+                    },
+                }
+                connection.send_bytes(json.dumps(hello).encode("utf-8"))
+                reply = protocol.decode_message(connection.recv_bytes())
+                assert isinstance(reply, protocol.ErrorReply)
+                assert "container" in reply.message
+            finally:
+                connection.close()
+            supervisor = ShardSupervisor(
+                shards=0, devices=("rtx4090",), connect=(address,)
+            )
+            try:
+                assert 0 in supervisor.ping()
+            finally:
+                supervisor.close()
+        finally:
+            shut_down_listener(address, thread)
+
+    def test_remote_shards_pool_connections(self):
+        address, thread = start_listener()
+        try:
+            supervisor = ShardSupervisor(
+                shards=0, devices=("rtx4090",), connect=(address,), pool=2
+            )
+            try:
+                result = supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
+                assert isinstance(result.artifact, str)
+                assert len(supervisor._handles[0].links) == 2
+                # Traffic flows over the pooled links and the wire profile
+                # sees it: coalesced flushes never exceed messages sent.
+                wire = supervisor.wire_snapshot()
+                assert wire.messages_sent >= 1
+                assert wire.flushes >= 1
+                assert wire.flushes <= wire.messages_sent
+            finally:
+                supervisor.close()
+        finally:
+            shut_down_listener(address, thread)
+
     def test_non_hello_first_frame_is_refused(self):
         address, thread = start_listener()
         try:
@@ -367,122 +416,6 @@ class TestDisconnectRebalance:
             shut_down_listener(address, thread)
 
 
-class TestMixedVersions:
-    """v1 and v2 builds interoperating on one wire.
-
-    The rollout story the negotiation exists for: either side of a
-    connection may still be a v1-era build (or pinned to v1 by the
-    operator), and the pair must land on v1 and keep serving — never
-    wedge, never spray binary frames at a JSON-only peer.
-    """
-
-    def serve_and_inspect(self, supervisor):
-        result = supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
-        assert result.tuning is not None
-        assert isinstance(result.artifact, str)
-        return supervisor._handles[0]
-
-    def test_v2_supervisor_v1_listener_negotiates_down(self):
-        address, thread = start_listener(max_protocol=protocol.PROTOCOL_VERSION)
-        try:
-            supervisor = ShardSupervisor(
-                shards=0, devices=("rtx4090",), connect=(address,)
-            )
-            try:
-                handle = self.serve_and_inspect(supervisor)
-                assert handle.wire_version == protocol.PROTOCOL_VERSION
-                # No pooling against a v1 peer: v1-era listeners accept one
-                # connection at a time, extra dials would wedge unanswered.
-                assert len(handle.links) == 1
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_v1_supervisor_v2_listener_negotiates_down(self):
-        address, thread = start_listener()
-        try:
-            supervisor = ShardSupervisor(
-                shards=0,
-                devices=("rtx4090",),
-                connect=(address,),
-                max_protocol=protocol.PROTOCOL_VERSION,
-            )
-            try:
-                handle = self.serve_and_inspect(supervisor)
-                assert handle.wire_version == protocol.PROTOCOL_VERSION
-                assert len(handle.links) == 1
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_v2_peers_pool_and_speak_binary(self):
-        address, thread = start_listener()
-        try:
-            supervisor = ShardSupervisor(
-                shards=0, devices=("rtx4090",), connect=(address,), pool=2
-            )
-            try:
-                handle = self.serve_and_inspect(supervisor)
-                assert handle.wire_version == protocol.PROTOCOL_VERSION_2
-                assert len(handle.links) == 2
-                # Traffic flows over the pooled links and the wire profile
-                # sees it: coalesced flushes never exceed messages sent.
-                wire = supervisor.wire_snapshot()
-                assert wire.messages_sent >= 1
-                assert wire.flushes >= 1
-                assert wire.flushes <= wire.messages_sent
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_true_v1_era_peer_still_serves(self):
-        # A peer built before negotiation existed: its hello carries no
-        # max_protocol field at all. Emulate one faithfully by speaking raw
-        # v1 JSON at a v2 listener.
-        address, thread = start_listener()
-        try:
-            sock = socket.create_connection(address, timeout=5)
-            connection = protocol.StreamConnection(sock)
-            try:
-                hello = protocol.encode_message(
-                    protocol.HelloCall(
-                        request_id=1,
-                        protocol_version=protocol.PROTOCOL_VERSION,
-                        shard_id=0,
-                        trust=protocol.TRUST_SOURCE,
-                    )
-                )
-                envelope = json.loads(hello.decode("utf-8"))
-                del envelope["payload"]["max_protocol"]
-                connection.send_bytes(json.dumps(envelope).encode("utf-8"))
-                reply = protocol.decode_message(connection.recv_bytes())
-                assert isinstance(reply, protocol.HelloReply)
-
-                connection.send_bytes(
-                    protocol.encode_message(
-                        protocol.ServeCall(
-                            request_id=2,
-                            request=ServeRequest(kind="ntt", bits=64, size=SIZE),
-                        )
-                    )
-                )
-                data = connection.recv_bytes()
-                # The reply must be v1 JSON — a binary frame would be
-                # unreadable to this peer.
-                assert data[: len(protocol.FRAME_MAGIC)] != protocol.FRAME_MAGIC
-                served = json.loads(data.decode("utf-8"))  # parses as JSON
-                assert served["payload"]["request_id"] == 2
-                decoded = protocol.decode_message(data)
-                assert isinstance(decoded.result.artifact, str)
-            finally:
-                connection.close()
-        finally:
-            shut_down_listener(address, thread)
-
-
 class TestMixedRing:
     def test_local_and_remote_shards_share_one_ring(self):
         address, thread = start_listener(shard_id=0)
@@ -499,7 +432,7 @@ class TestMixedRing:
             assert set(routed) == {0, 1}, f"all traffic landed on {set(routed)}"
             pongs = supervisor.ping()
             assert set(pongs) == {0, 1}
-            # The local pipe stays fully trusted even while the TCP shard
+            # The local socketpair stays fully trusted even while the TCP shard
             # runs source-only: artifact types differ by transport.
             stats = supervisor.stats()
             assert len(stats.shards) == 2

@@ -9,10 +9,8 @@ child spans.  ``ShardSupervisor.drain_spans`` pulls all of it into one
 process via the ``StatsCall`` span-drain mode, and the merged set exports
 as a Chrome trace-event document that validates.
 
-Interop rides along: the ``trace`` field is *additive*, so a v1 JSON
-envelope without it (an old peer) still decodes, a traced v2 supervisor
-forced down to protocol v1 still gets a merged trace, and an untraced
-supervisor sends byte-identical envelopes to the pre-tracing wire format.
+The ``trace`` field is *additive*: a call without it decodes as
+untraced, and an untraced supervisor sends no ``trace`` key at all.
 """
 
 import pytest
@@ -22,6 +20,7 @@ from repro.obs.trace import Tracer
 from repro.serve import ServeRequest, ShardSupervisor
 from repro.serve import protocol
 
+from tests.serve.test_protocol import tamper_payload
 from tests.serve.test_tcp_transport import start_listener, shut_down_listener
 
 SIZE = 16
@@ -128,63 +127,33 @@ class TestMergedTrace:
         assert supervisor.drain_spans() == ()
 
 
-class TestMixedVersionRing:
-    def test_v1_wire_still_merges_a_full_trace(self):
-        """A traced supervisor forced to protocol v1 loses nothing."""
-        listeners = [start_listener(shard_id=index) for index in range(2)]
-        supervisor = ShardSupervisor(
-            shards=0,
-            devices=("rtx4090",),
-            connect=tuple(address for address, _ in listeners),
-            max_protocol=protocol.PROTOCOL_VERSION,
-            tracer=Tracer(sample_rate=1.0),
-        )
-        try:
-            result = supervisor.serve(PINNED)
-            assert result.artifact is not None
-            spans = supervisor.drain_spans()
-            names = {one.name for one in spans}
-            assert {"cluster.request", "shard.serve", "serve.compile"} <= names
-            assert len({one.trace_id for one in spans}) == 1
-        finally:
-            supervisor.close()
-            for address, thread in listeners:
-                shut_down_listener(address, thread)
-
-
 class TestAdditiveProtocolField:
     """The wire-format interop contracts, without needing an old binary."""
 
     CALL = protocol.ServeCall(request_id=7, request=PINNED)
 
     def test_untraced_envelope_is_byte_identical_to_pre_tracing_wire(self):
-        # trace=None must not emit a key: an untraced v2 supervisor talks
-        # to any peer exactly as the pre-tracing protocol did.
+        # trace=None must not emit a key: an untraced supervisor's calls
+        # are exactly what they were before tracing existed.
         data = protocol.encode_message(self.CALL)
         assert b'"trace"' not in data
 
     def test_payload_without_the_field_decodes_as_untraced(self):
-        # What a v1 peer that predates tracing sends.
+        # What a supervisor that does not trace sends.
         data = protocol.encode_message(self.CALL)
         decoded = protocol.decode_message(data)
         assert decoded.trace is None
         assert decoded.request == PINNED
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_traced_envelope_roundtrips_on_both_versions(self, version):
+    def test_traced_envelope_roundtrips(self):
         field = {"id": "abc123", "span": "1f.1", "sampled": True}
         call = protocol.ServeCall(request_id=8, request=PINNED, trace=field)
-        decoded = protocol.decode_message(
-            protocol.encode_message(call, version=version)
-        )
+        decoded = protocol.decode_message(protocol.encode_message(call))
         assert decoded.trace == field
 
     def test_malformed_trace_field_decodes_as_untraced(self):
         call = protocol.ServeCall(request_id=9, request=PINNED, trace={"id": "x"})
-        encoded = protocol.encode_message(call)
-        data = encoded.replace(b'{"id": "x"}', b'"garbage"')
-        assert data != encoded  # the corruption actually landed
-        decoded = protocol.decode_message(data)
+        decoded = protocol.decode_message(tamper_payload(call, trace="garbage"))
         assert decoded.trace is None
 
     def test_stats_call_drain_flag_defaults_off_for_old_peers(self):
