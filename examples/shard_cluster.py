@@ -9,8 +9,8 @@ One :class:`KernelServer` process eventually saturates; the
    request's (kernel-family fingerprint, device) onto a shard, so one
    family's traffic always lands on the shard holding its resident table,
 3. repeat a request and watch it come back warm — from the owning shard,
-   over the wire protocol (the executable kernel crosses as a pickled
-   artifact and still computes),
+   over the wire protocol (the kernel crosses as its generated source plus
+   a small interface, and the supervisor rebuilds it executable),
 4. print the cluster stats: per-shard counters merged into global
    warm/cold/dedup counts and p50/p95 from summed latency histograms,
 5. close the cluster: shards drain, and their replicas are reconciled into
@@ -65,9 +65,10 @@ def main() -> None:
 
     # The classic frontends work against a supervisor unchanged.
     ntt = ServedNTT(supervisor, size=SIZE, bits=128)
+    assert ntt.compiled_kernel.kernel is None  # rebuilt from source + interface
     values = list(range(SIZE))
     assert ntt.inverse(ntt.forward(values)) == values
-    print("ServedNTT round trip ok (butterfly crossed the wire pickled)")
+    print("ServedNTT round trip ok (butterfly rebuilt from its source and interface)")
 
     # 4. Cross-shard observability.
     print()

@@ -19,7 +19,7 @@ from repro.core.ir.ops import OpKind, Statement
 from repro.core.ir.values import Const, Group
 from repro.core.rewrite.legalize import is_machine_legal
 
-__all__ = ["CompiledKernel", "compile_kernel", "generate_python_source"]
+__all__ = ["INTERFACE_KEYS", "CompiledKernel", "compile_kernel", "generate_python_source"]
 
 
 def _render_part(part) -> str:
@@ -131,6 +131,18 @@ def generate_python_source(kernel: Kernel, function_name: str | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
+#: The keys of :meth:`CompiledKernel.interface`: everything the integer-level
+#: methods need besides the generated function itself.
+INTERFACE_KEYS = (
+    "name",
+    "word_bits",
+    "param_layout",
+    "output_layout",
+    "original_params",
+    "outputs",
+)
+
+
 @dataclass
 class CompiledKernel:
     """A legalized kernel compiled to a callable Python function.
@@ -138,18 +150,53 @@ class CompiledKernel:
     The callable works at the machine-word level (one argument per limb); the
     convenience methods pack and unpack Python integers according to the
     kernel's original interface, including limbs pruned away by the
-    non-power-of-two optimization.
+    non-power-of-two optimization.  That interface is plain data
+    (:meth:`interface`), so a kernel rebuilt from its source and interface
+    (:meth:`from_interface`) computes exactly what the original does; a
+    rebuilt kernel has ``kernel=None``.
     """
 
-    kernel: Kernel
+    kernel: Kernel | None
     source: str
     function: object
     word_bits: int
+    name: str
+    #: Original parameter -> its limb names, most significant first; a
+    #: pruned limb is ``None``.
+    param_layout: dict[str, list[str | None]]
+    #: Original output -> its limb names, most significant first.
+    output_layout: dict[str, list[str | None]]
+    #: ``[name, bits, effective_bits or None]`` per original parameter, in
+    #: argument order.
+    original_params: list[list]
+    #: The function's returned limb names, in return order.
+    outputs: list[str]
 
-    def __post_init__(self) -> None:
-        self._param_layout = self.kernel.metadata["param_layout"]
-        self._output_layout = self.kernel.metadata["output_layout"]
-        self._original_params = self.kernel.metadata["original_params"]
+    def interface(self) -> dict:
+        """The kernel's JSON-ready integer interface (:data:`INTERFACE_KEYS`)."""
+        return {key: getattr(self, key) for key in INTERFACE_KEYS}
+
+    @classmethod
+    def from_interface(cls, source: str, interface: dict) -> CompiledKernel:
+        """Rebuild a kernel from its generated source and :meth:`interface`.
+
+        This executes ``source``.  Raises :class:`~repro.errors.CodegenError`
+        when the interface is malformed or inconsistent, or when the source
+        does not define exactly one function taking one argument per live
+        parameter limb.
+        """
+        fields = _checked_interface(interface)
+        function = _exec_source(source, fields["name"])
+        live = sum(
+            limb is not None for limbs in fields["param_layout"].values() for limb in limbs
+        )
+        code = getattr(function, "__code__", None)
+        if code is None or code.co_argcount != live:
+            raise CodegenError(
+                f"source for {fields['name']!r} does not take the interface's "
+                f"{live} limb arguments"
+            )
+        return cls(kernel=None, source=source, function=function, **fields)
 
     # -- integer-level interface -------------------------------------------
 
@@ -157,7 +204,7 @@ class CompiledKernel:
         """Flatten original-parameter integers into the limb argument list."""
         mask = (1 << self.word_bits) - 1
         arguments: list[int] = []
-        for name, bits, effective in self._original_params:
+        for name, bits, effective in self.original_params:
             if name not in values:
                 raise CodegenError(f"missing value for parameter {name!r}")
             value = values[name]
@@ -167,8 +214,7 @@ class CompiledKernel:
                     f"value for {name!r} must be a non-negative integer of at "
                     f"most {limit} bits"
                 )
-            limb_names = self._param_layout[name]
-            count = len(limb_names)
+            limb_names = self.param_layout[name]
             total = bits // self.word_bits
             # Most-significant-first layout; pruned limbs are None and must be zero.
             for index, limb_name in enumerate(limb_names):
@@ -185,9 +231,9 @@ class CompiledKernel:
 
     def unpack_outputs(self, raw: tuple) -> dict[str, int]:
         """Recombine the function's limb results into integers per output."""
-        limb_values = dict(zip((output.name for output in self.kernel.outputs), raw))
+        limb_values = dict(zip(self.outputs, raw))
         results: dict[str, int] = {}
-        for name, limb_names in self._output_layout.items():
+        for name, limb_names in self.output_layout.items():
             value = 0
             for limb_name in limb_names:
                 limb = 0 if limb_name is None else limb_values[limb_name]
@@ -204,23 +250,54 @@ class CompiledKernel:
         """Run the kernel directly on machine-word limbs (no packing)."""
         return self.function(*limb_arguments)
 
-    # -- pickling ----------------------------------------------------------
-    #
-    # The exec'd function cannot be pickled by reference (it lives in no
-    # importable module), but the kernel and its source can — so a pickled
-    # CompiledKernel ships (kernel, source, word_bits) and the receiving
-    # process re-execs the source.  This is what lets the serving tier's
-    # wire protocol move executable artifacts between shard processes.
 
-    def __getstate__(self) -> dict:
-        return {"kernel": self.kernel, "source": self.source, "word_bits": self.word_bits}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def __setstate__(self, state: dict) -> None:
-        self.kernel = state["kernel"]
-        self.source = state["source"]
-        self.word_bits = state["word_bits"]
-        self.function = _exec_source(self.source, self.kernel.name)
-        self.__post_init__()
+
+def _is_layout(value) -> bool:
+    """A name -> limb-name list mapping (``None`` marks a pruned limb)."""
+    return isinstance(value, dict) and all(
+        isinstance(name, str)
+        and isinstance(limbs, list)
+        and all(limb is None or isinstance(limb, str) for limb in limbs)
+        for name, limbs in value.items()
+    )
+
+
+def _checked_interface(interface) -> dict:
+    """``interface``'s fields, or :class:`CodegenError` if it is malformed."""
+    if not isinstance(interface, dict):
+        raise CodegenError(f"kernel interface must be a dict, got {type(interface).__name__}")
+    missing = [key for key in INTERFACE_KEYS if key not in interface]
+    if missing:
+        raise CodegenError(f"kernel interface lacks {missing}")
+    fields = {key: interface[key] for key in INTERFACE_KEYS}
+    word_bits = fields["word_bits"]
+    layouts = fields["param_layout"], fields["output_layout"]
+    params, outputs = fields["original_params"], fields["outputs"]
+    if not (
+        isinstance(fields["name"], str)
+        and _is_int(word_bits)
+        and word_bits > 0
+        and all(_is_layout(layout) for layout in layouts)
+        and isinstance(params, list)
+        and all(
+            isinstance(entry, list)
+            and len(entry) == 3
+            and entry[0] in layouts[0]
+            and _is_int(entry[1])
+            and (entry[2] is None or _is_int(entry[2]))
+            for entry in params
+        )
+        and isinstance(outputs, list)
+        and all(isinstance(output, str) for output in outputs)
+        and all(
+            limb is None or limb in outputs for limbs in layouts[1].values() for limb in limbs
+        )
+    ):
+        raise CodegenError(f"malformed kernel interface: {interface!r}")
+    return fields
 
 
 def _exec_source(source: str, kernel_name: str):
@@ -244,4 +321,9 @@ def compile_kernel(kernel: Kernel) -> CompiledKernel:
         source=source,
         function=_exec_source(source, kernel.name),
         word_bits=word_bits,
+        name=kernel.name,
+        param_layout=kernel.metadata["param_layout"],
+        output_layout=kernel.metadata["output_layout"],
+        original_params=[list(entry) for entry in kernel.metadata["original_params"]],
+        outputs=[output.name for output in kernel.outputs],
     )

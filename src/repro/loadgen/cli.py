@@ -39,7 +39,6 @@ from pathlib import Path
 from repro.errors import ReproError
 from repro.gpu.device import DEVICES
 from repro.obs import Tracer, configure_logging, instant_event, write_chrome_trace
-from repro.serve import protocol
 from repro.serve.server import KernelServer
 from repro.serve.supervisor import ShardSupervisor
 from repro.tenancy import DEFAULT_TENANT
@@ -171,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT[,HOST:PORT...]",
         help="remote TCP shards (python -m repro.serve --listen ...) to "
         "replay against; repeatable or comma-separated",
-    )
-    cluster.add_argument(
-        "--trust",
-        choices=(protocol.TRUST_SOURCE, protocol.TRUST_PICKLED),
-        default=protocol.TRUST_SOURCE,
-        help="transport trust requested from --connect shards (default source)",
     )
     cluster.add_argument(
         "--db", metavar="PATH", default=None, help="persistent tuning database file"
@@ -407,7 +400,6 @@ def _run_sharded(
         devices=(args.device,),
         workers=args.workers,
         connect=connect,
-        remote_trust=args.trust,
         tracer=Tracer(sample_rate=1.0) if args.trace else None,
     )
     try:

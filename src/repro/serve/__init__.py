@@ -26,13 +26,14 @@ families across server processes:
 
 * :mod:`repro.serve.protocol` — the wire protocol
   (``ServeCall``/``ServeReply``/``StatsCall``/...; one binary container
-  with artifacts as source text or pickled ``python_exec`` kernels in
-  out-of-band frames; the TCP handshake and trust levels; and
+  with every artifact as source text in an out-of-band frame, plus a
+  small interface for executable ``python_exec`` kernels; the TCP
+  handshake; and
   ``StreamConnection``, the socket framing every shard link uses);
 * :mod:`repro.serve.shard` — :class:`ShardRouter` (consistent hashing of
   (kernel-family fingerprint, device) onto shards), the shard process
   main loop, and :func:`serve_shard_tcp` (the same loop behind a TCP
-  listener, source-only trust by default);
+  listener);
 * :mod:`repro.serve.supervisor` — :class:`ShardSupervisor`: spawns,
   monitors and restarts shard processes over socketpairs (and connects to
   remote TCP shards), each local shard with its own tuning-db replica, and
@@ -60,12 +61,7 @@ from repro.serve.invalidate import (
     invalidate_stale,
 )
 from repro.serve.metrics import MetricsSnapshot, ServerMetrics, WireSnapshot
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    TRUST_PICKLED,
-    TRUST_SOURCE,
-    ShardStats,
-)
+from repro.serve.protocol import PROTOCOL_VERSION, ShardStats
 from repro.serve.server import KernelServer, ServeRequest, ServeResult
 from repro.serve.shard import ShardRouter, serve_shard_tcp
 from repro.serve.supervisor import ClusterStats, ShardSupervisor
@@ -81,8 +77,6 @@ __all__ = [
     "ServeRequest",
     "ServeResult",
     "PROTOCOL_VERSION",
-    "TRUST_SOURCE",
-    "TRUST_PICKLED",
     "ShardStats",
     "WireSnapshot",
     "ShardRouter",

@@ -26,7 +26,7 @@ Examples::
     # the same demo served across two shard processes, stats aggregated
     python -m repro.serve --shards 2 --demo --stats
 
-    # a TCP shard listener (source-only trust unless --trust pickled)
+    # a TCP shard listener
     python -m repro.serve --listen 127.0.0.1:7401 --db shard0.json
 
     # a supervisor over two remote shards (no local shard processes)
@@ -54,7 +54,6 @@ from repro.obs.promtext import render_cluster_metrics, render_server_metrics
 from repro.tenancy import DEFAULT_TENANT
 from repro.tune.db import TuningDatabase
 from repro.tune.space import BLAS, NTT
-from repro.serve import protocol
 from repro.serve.metrics import HISTOGRAM_BUCKET_BOUNDS_MS
 from repro.serve.server import KernelServer, ServeRequest
 from repro.serve.shard import serve_shard_tcp
@@ -100,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="[HOST:]PORT",
         help="run this process as a TCP shard listener instead of a "
-        "supervisor (combines with --db/--devices/--workers/--shard-id/"
-        "--trust; excludes every other action)",
+        "supervisor (combines with --db/--devices/--workers/--shard-id; "
+        "excludes every other action)",
     )
     parser.add_argument(
         "--shard-id",
@@ -110,16 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="with --listen: the shard id announced before a supervisor "
         "assigns one (also names the --db replica)",
-    )
-    parser.add_argument(
-        "--trust",
-        choices=(protocol.TRUST_SOURCE, protocol.TRUST_PICKLED),
-        default=protocol.TRUST_SOURCE,
-        help="transport trust for TCP shards: with --listen, the most this "
-        "shard grants; with --connect, the level requested from remotes. "
-        "'source' (default) ships artifacts as source text only; 'pickled' "
-        "allows executable python_exec pickles between machines that "
-        "explicitly trust each other",
     )
     parser.add_argument(
         "--pool",
@@ -441,7 +430,6 @@ def _main_sharded(args: argparse.Namespace, shards: int) -> int:
         devices=tuple(args.devices),
         workers=args.workers,
         connect=_connect_addresses(args),
-        remote_trust=args.trust,
         pool=args.pool,
         tracer=_build_tracer(args),
     )
@@ -497,11 +485,7 @@ def _main_listen(args: argparse.Namespace) -> int:
         return 2
 
     def announce(bound: tuple[str, int]) -> None:
-        print(
-            f"shard {args.shard_id} listening on {bound[0]}:{bound[1]} "
-            f"(trust: {args.trust})",
-            flush=True,
-        )
+        print(f"shard {args.shard_id} listening on {bound[0]}:{bound[1]}", flush=True)
 
     try:
         serve_shard_tcp(
@@ -511,7 +495,6 @@ def _main_listen(args: argparse.Namespace) -> int:
             devices=tuple(args.devices),
             db_path=args.db,
             workers=args.workers,
-            trust=args.trust,
             on_bound=announce,
             metrics_port=args.metrics_port,
         )

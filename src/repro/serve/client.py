@@ -15,11 +15,18 @@ Two layers:
 Every entry point accepts either a single-process :class:`KernelServer` or a
 :class:`~repro.serve.supervisor.ShardSupervisor` — both expose the same
 front door (``submit``/``serve``/``devices``), so a frontend is routed
-across shard processes simply by being handed a supervisor.
+across shard processes simply by being handed a supervisor.  A kernel
+from a remote shard is executable only when the supervisor was built with
+``execute_remote=True``; otherwise :func:`serve_ntt_kernel` and
+:func:`serve_blas_kernels` raise
+:class:`~repro.errors.ServingError` instead of handing a frontend source
+text.
 """
 
 from __future__ import annotations
 
+from repro.core.codegen.python_exec import CompiledKernel
+from repro.errors import ServingError
 from repro.kernels.config import KernelConfig
 from repro.ntt.generated import GeneratedNTT
 from repro.ntt.planner import NTTPlan
@@ -66,6 +73,17 @@ def serve_many(
     return [future.result() for future in futures]
 
 
+def _executable(result: ServeResult) -> ServeResult:
+    """``result``, or :class:`ServingError` if its kernel is only source."""
+    if not isinstance(result.artifact, CompiledKernel):
+        raise ServingError(
+            f"the {result.request.kind} kernel arrived as source text, not an "
+            f"executable kernel: it came from a remote shard, so build the "
+            f"ShardSupervisor with execute_remote=True to run it here"
+        )
+    return result
+
+
 def serve_ntt_kernel(
     server: ServerLike,
     config: KernelConfig,
@@ -96,7 +114,7 @@ def serve_ntt_kernel(
         word_bits=config.word_bits,
         multiplication=config.multiplication,
     )
-    return server.serve(request, tenant=tenant)
+    return _executable(server.serve(request, tenant=tenant))
 
 
 def serve_blas_kernel(
@@ -147,7 +165,9 @@ def serve_blas_kernels(
         )
         for operation in operations
     }
-    return {operation: future.result() for operation, future in futures.items()}
+    return {
+        operation: _executable(future.result()) for operation, future in futures.items()
+    }
 
 
 class ServedNTT(GeneratedNTT):

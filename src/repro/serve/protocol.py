@@ -15,8 +15,8 @@ byte frames:
 
 Payload fields reference frames by index (``{"encoding": "source",
 "frame": 0}``) instead of embedding the bytes: kernel source crosses as
-raw UTF-8 and pickled kernels as raw pickle bytes, and decode slices the
-blob with memoryviews instead of copying.  :func:`encode_message` /
+raw UTF-8, and decode slices the blob with memoryviews instead of
+copying.  :func:`encode_message` /
 :func:`decode_message` turn messages into container bytes and back.
 
 The container moves over exactly one transport framing,
@@ -41,29 +41,21 @@ Message types (each a frozen dataclass):
   supervisor's monitor.
 * :class:`HelloCall` / :class:`HelloReply` — the TCP transport handshake:
   the supervisor's first frame on a fresh connection pins the protocol
-  version, assigns the shard its ring id for the session, and requests a
-  trust level; the shard grants the weaker of the requested level and its
-  own policy (:func:`negotiate_trust`).
+  version and assigns the shard its ring id for the session.
 * :class:`ShutdownCall` — asks the shard to drain and exit cleanly.
 
-**Artifact encodings.**  A served artifact crosses the wire in one of two
-forms (:func:`encode_artifact` / :func:`decode_artifact`):
-
-* ``"source"`` — backend source text (the ``cuda`` / ``c99`` targets) passes
-  through verbatim as a UTF-8 frame;
-* ``"pickled_kernel"`` — an executable ``python_exec``
-  :class:`~repro.core.codegen.python_exec.CompiledKernel` ships as a
-  pickle frame (the kernel IR + generated source; the callable is
-  re-exec'd from the source on arrival).
-
-Unpickling executes code, so ``decode_artifact`` only accepts
-``"pickled_kernel"`` payloads when the caller passes ``allow_pickled=True``
-— which the supervisor does for its *own spawned shard processes* and for
-TCP connections whose handshake negotiated :data:`TRUST_PICKLED` (an
-explicit operator opt-in on both ends).  Everything else runs **source-only**
-(:data:`TRUST_SOURCE`, the cross-machine default): executable artifacts are
-downgraded to their generated source text before the wire
-(:func:`source_only_result`) and pickled payloads are rejected on arrival.
+**Artifacts.**  Every served artifact crosses as source text in a UTF-8
+frame (:func:`encode_artifact` / :func:`decode_artifact`).  Backend text
+(the ``cuda`` / ``c99`` targets) is just that frame; an executable
+``python_exec`` :class:`~repro.core.codegen.python_exec.CompiledKernel`
+adds its small JSON :meth:`CompiledKernel.interface` (limb layouts, word
+width, output order) to the payload.  Only the
+receiver decides whether to execute: ``decode_message(data, trusted=True)``
+rebuilds the kernel from source and interface through a bounded cache
+(:data:`KERNEL_CACHE_SIZE` entries), so a repeated reply never compiles
+again; an untrusted decode returns the source text.  The supervisor
+trusts the shards it spawned, and remote shards only when built with
+``execute_remote=True``.
 
 :data:`PROTOCOL_VERSION` is bumped on any *incompatible* change; additive,
 optional payload fields may ride within a version — decoders ignore
@@ -73,9 +65,9 @@ unknown payload keys.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
-import pickle
 import socket
 from dataclasses import dataclass
 
@@ -93,8 +85,7 @@ __all__ = [
     "MAX_PROTOCOL_VERSION",
     "FRAME_MAGIC",
     "MAX_FRAME_BYTES",
-    "TRUST_SOURCE",
-    "TRUST_PICKLED",
+    "KERNEL_CACHE_SIZE",
     "ServeCall",
     "ServeReply",
     "ErrorReply",
@@ -108,7 +99,6 @@ __all__ = [
     "ControlCall",
     "ControlReply",
     "ShutdownCall",
-    "negotiate_trust",
     "encode_artifact",
     "decode_artifact",
     "source_only_result",
@@ -121,7 +111,7 @@ __all__ = [
 #: The container version.  Bumped on every *incompatible* wire change; a
 #: decoder rejects other versions, and the hello pins it before any payload
 #: is trusted.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Alias of :data:`PROTOCOL_VERSION`, kept for callers that still name it.
 MAX_PROTOCOL_VERSION = PROTOCOL_VERSION
@@ -142,107 +132,74 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# -- transport trust levels --------------------------------------------------
-
-#: Source-only transport: executable artifacts cross as generated source
-#: text; pickled payloads are rejected.  The cross-machine default.
-TRUST_SOURCE = "source"
-
-#: Fully trusted transport: ``python_exec`` artifacts cross as executable
-#: pickles.  Implicit for the supervisor's own spawned shards; over TCP it
-#: must be requested by the supervisor *and* allowed by the shard.
-TRUST_PICKLED = "pickled"
-
-_TRUST_LEVELS = (TRUST_SOURCE, TRUST_PICKLED)
-
-
-def negotiate_trust(requested: str, policy: str) -> str:
-    """The trust level a connection runs at: the weaker of the two sides.
-
-    ``requested`` is what the supervisor's hello asks for; ``policy`` is the
-    most the shard's operator allows for this listener.  Unknown levels are
-    a protocol violation, not a silent downgrade.
-    """
-    for level in (requested, policy):
-        if level not in _TRUST_LEVELS:
-            raise ProtocolError(f"unknown transport trust level {level!r}")
-    if requested == TRUST_PICKLED and policy == TRUST_PICKLED:
-        return TRUST_PICKLED
-    return TRUST_SOURCE
-
-
-# -- artifact encodings ------------------------------------------------------
+# -- artifact encoding -------------------------------------------------------
 
 SOURCE_ENCODING = "source"
-PICKLED_KERNEL_ENCODING = "pickled_kernel"
+
+#: Kernels a trusted decode keeps rebuilt, keyed on source and interface.
+KERNEL_CACHE_SIZE = 128
 
 
 def encode_artifact(artifact: object, frames: list) -> dict:
     """One served artifact in its wire form.
 
-    The body goes **out of band**: the raw bytes — UTF-8 source, or the
-    pickle — are appended to ``frames`` and the returned pair is
-    ``{"encoding", "frame"}``, referencing the payload frame by index.
+    The source text goes **out of band**: its UTF-8 bytes are appended to
+    ``frames`` and the returned ``{"encoding", "frame"}`` references that
+    frame by index.  A :class:`CompiledKernel` adds ``"interface"``, its
+    :meth:`~repro.core.codegen.python_exec.CompiledKernel.interface`.
     """
+    if isinstance(artifact, CompiledKernel):
+        payload = encode_artifact(artifact.source, frames)
+        payload["interface"] = artifact.interface()
+        return payload
     if isinstance(artifact, str):
         frames.append(artifact.encode("utf-8"))
         return {"encoding": SOURCE_ENCODING, "frame": len(frames) - 1}
-    if isinstance(artifact, CompiledKernel):
-        frames.append(pickle.dumps(artifact))
-        return {"encoding": PICKLED_KERNEL_ENCODING, "frame": len(frames) - 1}
     raise ProtocolError(
         f"cannot encode artifact of type {type(artifact).__name__} for the wire"
     )
 
 
-def decode_artifact(payload: dict, allow_pickled: bool = False, frames=()) -> object:
+def decode_artifact(payload: dict, trusted: bool = False, frames=()) -> object:
     """Rebuild an artifact from its wire form and the message's frames.
 
-    ``allow_pickled`` gates the ``pickled_kernel`` encoding: unpickling
-    executes code, so it must only be enabled for transports connected to
-    processes this one spawned (the supervisor's own shards).  ``frames``
-    is the message's out-of-band payload frames.
+    Returns the source text, or — when ``trusted`` and the payload carries
+    an interface — the executable :class:`CompiledKernel`, which runs that
+    source: pass ``trusted`` only for peers whose kernels this process may
+    execute.  ``frames`` is the message's out-of-band payload frames.
     """
     if not isinstance(payload, dict) or "encoding" not in payload or "frame" not in payload:
         raise ProtocolError(f"malformed artifact payload: {payload!r}")
+    if payload["encoding"] != SOURCE_ENCODING:
+        raise ProtocolError(f"unknown artifact encoding {payload['encoding']!r}")
     index = payload["frame"]
     if not _is_int(index) or not 0 <= index < len(frames):
         raise ProtocolError(
             f"artifact frame index {index!r} out of range (message has {len(frames)} frames)"
         )
-    body = frames[index]
-    encoding = payload["encoding"]
-    if encoding == SOURCE_ENCODING:
-        try:
-            return str(body, "utf-8")
-        except UnicodeDecodeError as error:
-            raise ProtocolError(f"source artifact frame is not UTF-8: {error}") from None
-    if encoding == PICKLED_KERNEL_ENCODING:
-        if not allow_pickled:
-            raise ProtocolError(
-                "refusing to unpickle a kernel artifact from an untrusted "
-                "transport (pass allow_pickled=True only for spawned shards)"
-            )
-        try:
-            artifact = pickle.loads(body)
-        except Exception as error:  # noqa: BLE001 - any unpickle failure is protocol-level
-            raise ProtocolError(f"corrupt pickled kernel artifact: {error}") from None
-        if not isinstance(artifact, CompiledKernel):
-            raise ProtocolError(
-                f"pickled artifact is a {type(artifact).__name__}, "
-                f"expected CompiledKernel"
-            )
-        return artifact
-    raise ProtocolError(f"unknown artifact encoding {encoding!r}")
+    try:
+        source = str(frames[index], "utf-8")
+    except UnicodeDecodeError as error:
+        raise ProtocolError(f"source artifact frame is not UTF-8: {error}") from None
+    interface = payload.get("interface")
+    if interface is None or not trusted:
+        return source
+    try:
+        return _rebuilt_kernel(source, json.dumps(interface, sort_keys=True))
+    except Exception as error:  # noqa: BLE001 - any failure to rebuild is protocol-level
+        raise ProtocolError(f"kernel artifact does not rebuild: {error}") from None
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _rebuilt_kernel(source: str, interface_json: str) -> CompiledKernel:
+    return CompiledKernel.from_interface(source, json.loads(interface_json))
 
 
 def source_only_result(result: ServeResult) -> ServeResult:
-    """``result`` with any executable artifact downgraded to source text.
+    """``result`` with an executable artifact replaced by its source text.
 
-    What a shard applies to every reply on a :data:`TRUST_SOURCE` transport:
-    the receiver gets the kernel's generated source (inspectable, compilable
-    on its own side) instead of an executable pickle it would have to trust.
-    Source-text artifacts pass through unchanged.
+    What an untrusted receiver decodes anyway; kept for the serve-warm
+    probe in ``perfbench/mbench/serve_warm.py``.
     """
     if isinstance(result.artifact, CompiledKernel):
         return dataclasses.replace(result, artifact=result.artifact.source)
@@ -307,13 +264,13 @@ def _encode_result(result: ServeResult, frames: list) -> dict:
     }
 
 
-def _decode_result(payload: dict, allow_pickled: bool, frames) -> ServeResult:
+def _decode_result(payload: dict, trusted: bool, frames) -> ServeResult:
     if not isinstance(payload, dict):
         raise ProtocolError(f"malformed serve result payload: {payload!r}")
     fields = dict(payload)
     fields["request"] = _decode_request(fields.get("request"))
     fields["artifact"] = decode_artifact(
-        fields.get("artifact"), allow_pickled=allow_pickled, frames=frames
+        fields.get("artifact"), trusted=trusted, frames=frames
     )
     fields["config"] = _rebuild(KernelConfig, fields.get("config"), "kernel config")
     fields["tuning"] = _decode_tuning(fields.get("tuning"))
@@ -480,31 +437,23 @@ class HelloCall:
 
     Pins the protocol version explicitly (belt and braces over the
     envelope gate: a version mismatch must fail *before* any payload is
-    trusted), assigns the shard the ring id it answers as for this session,
-    and requests a transport trust level (:data:`TRUST_SOURCE` /
-    :data:`TRUST_PICKLED`).
+    trusted) and assigns the shard the ring id it answers as for this
+    session.
     """
 
     request_id: int
     protocol_version: int
     shard_id: int
-    trust: str
 
 
 @dataclass(frozen=True)
 class HelloReply:
-    """The shard's acceptance: its identity and the *granted* trust level.
-
-    ``trust`` is :func:`negotiate_trust` of the supervisor's request and the
-    listener's policy — both sides must honour it for every later frame on
-    the connection.
-    """
+    """The shard's acceptance: its identity and protocol version."""
 
     request_id: int
     shard_id: int
     pid: int
     protocol_version: int
-    trust: str
 
 
 #: Control actions a :class:`ControlCall` may carry.
@@ -599,7 +548,7 @@ def _decode_tenant_breakdown(value) -> dict:
     return breakdown
 
 
-def _stats_from_payload(payload: dict, allow_pickled: bool) -> StatsReply:
+def _stats_from_payload(payload: dict) -> StatsReply:
     if not isinstance(payload, dict) or not isinstance(payload.get("stats"), dict):
         raise ProtocolError(f"malformed stats payload: {payload!r}")
     fields = dict(payload["stats"])
@@ -689,8 +638,6 @@ def _decode_control(payload: dict) -> ControlCall:
 
 def _validate_hello(message):
     """Shared field validation for both handshake directions."""
-    if message.trust not in _TRUST_LEVELS:
-        raise ProtocolError(f"unknown transport trust level {message.trust!r}")
     for name in ("protocol_version", "shard_id"):
         if not _is_int(getattr(message, name)):
             raise ProtocolError(f"handshake field {name!r} must be an integer")
@@ -706,8 +653,8 @@ def _request_id(payload: dict) -> int:
 
 #: type tag -> (message class, payload encoder, payload decoder).
 #: Encoders take ``(message, frames)`` — ``frames`` is the list to append
-#: out-of-band byte frames to.  Decoders take ``(payload, allow_pickled,
-#: frames)`` symmetrically.
+#: out-of-band byte frames to.  Decoders take ``(payload, trusted, frames)``
+#: symmetrically.
 _MESSAGE_TYPES = {
     "serve": (
         ServeCall,
@@ -726,7 +673,7 @@ _MESSAGE_TYPES = {
                 else {}
             ),
         },
-        lambda p, allow, frames: ServeCall(
+        lambda p, trusted, frames: ServeCall(
             request_id=_request_id(p),
             request=_decode_request(p.get("request")),
             trace=_decode_trace_field(p.get("trace")),
@@ -740,20 +687,20 @@ _MESSAGE_TYPES = {
             "request_id": m.request_id,
             "result": _encode_result(m.result, frames),
         },
-        lambda p, allow, frames: ServeReply(
+        lambda p, trusted, frames: ServeReply(
             request_id=_request_id(p),
-            result=_decode_result(p.get("result"), allow_pickled=allow, frames=frames),
+            result=_decode_result(p.get("result"), trusted=trusted, frames=frames),
         ),
     ),
     "error": (
         ErrorReply,
         lambda m, frames: dataclasses.asdict(m),
-        lambda p, allow, frames: _rebuild(ErrorReply, p, "error reply"),
+        lambda p, trusted, frames: _rebuild(ErrorReply, p, "error reply"),
     ),
     "stats": (
         StatsCall,
         lambda m, frames: dataclasses.asdict(m),
-        lambda p, allow, frames: StatsCall(
+        lambda p, trusted, frames: StatsCall(
             request_id=_request_id(p),
             drain_spans=bool(p.get("drain_spans", False)),
         ),
@@ -761,27 +708,27 @@ _MESSAGE_TYPES = {
     "stats-result": (
         StatsReply,
         lambda m, frames: _stats_to_payload(m),
-        lambda p, allow, frames: _stats_from_payload(p, allow),
+        lambda p, trusted, frames: _stats_from_payload(p),
     ),
     "ping": (
         PingCall,
         lambda m, frames: dataclasses.asdict(m),
-        lambda p, allow, frames: PingCall(request_id=_request_id(p)),
+        lambda p, trusted, frames: PingCall(request_id=_request_id(p)),
     ),
     "pong": (
         PongReply,
         lambda m, frames: dataclasses.asdict(m),
-        lambda p, allow, frames: _rebuild(PongReply, p, "pong reply"),
+        lambda p, trusted, frames: _rebuild(PongReply, p, "pong reply"),
     ),
     "hello": (
         HelloCall,
         lambda m, frames: dataclasses.asdict(m),
-        lambda p, allow, frames: _validate_hello(_rebuild(HelloCall, p, "hello")),
+        lambda p, trusted, frames: _validate_hello(_rebuild(HelloCall, p, "hello")),
     ),
     "hello-reply": (
         HelloReply,
         lambda m, frames: dataclasses.asdict(m),
-        lambda p, allow, frames: _validate_hello(_rebuild(HelloReply, p, "hello reply")),
+        lambda p, trusted, frames: _validate_hello(_rebuild(HelloReply, p, "hello reply")),
     ),
     "control": (
         ControlCall,
@@ -792,7 +739,7 @@ _MESSAGE_TYPES = {
             "refresh": m.refresh,
             **({"tenant": m.tenant} if m.tenant is not None else {}),
         },
-        lambda p, allow, frames: _decode_control(p),
+        lambda p, trusted, frames: _decode_control(p),
     ),
     "control-reply": (
         ControlReply,
@@ -800,7 +747,7 @@ _MESSAGE_TYPES = {
             "request_id": m.request_id,
             "report": dict(m.report),
         },
-        lambda p, allow, frames: ControlReply(
+        lambda p, trusted, frames: ControlReply(
             request_id=_request_id(p),
             report=(
                 dict(p["report"]) if isinstance(p.get("report"), dict) else {}
@@ -810,7 +757,7 @@ _MESSAGE_TYPES = {
     "shutdown": (
         ShutdownCall,
         lambda m, frames: dataclasses.asdict(m),
-        lambda p, allow, frames: ShutdownCall(request_id=_request_id(p)),
+        lambda p, trusted, frames: ShutdownCall(request_id=_request_id(p)),
     ),
 }
 
@@ -863,7 +810,9 @@ def encode_message(message: Message, version: int = PROTOCOL_VERSION) -> bytes:
     return b"".join(parts)
 
 
-def decode_message(data: bytes, allow_pickled: bool = False) -> Message:
+def decode_message(
+    data: bytes, trusted: bool = False, allow_pickled: bool = False
+) -> Message:
     """Rebuild a message from its container bytes.
 
     Every structural violation — bytes without the container magic, a
@@ -872,10 +821,11 @@ def decode_message(data: bytes, allow_pickled: bool = False) -> Message:
     truncated or over-long final frame, trailing garbage, an unknown
     message type — raises :class:`~repro.errors.ProtocolError`.  Frames are
     handed to payload decoders as memoryview slices, so no byte of an
-    artifact body is copied until its consumer asks for it.
-    ``allow_pickled`` is forwarded to :func:`decode_artifact` for result
-    messages.
+    artifact body is copied until its consumer asks for it.  ``trusted``
+    is forwarded to :func:`decode_artifact` for result messages.
     """
+    # allow_pickled: an alias of trusted, kept for perfbench/mbench/serve_warm.py.
+    trusted = trusted or allow_pickled
     view = memoryview(data)
     offset = len(FRAME_MAGIC)
     if bytes(view[:offset]) != FRAME_MAGIC:
@@ -933,7 +883,7 @@ def decode_message(data: bytes, allow_pickled: bool = False) -> Message:
     if not isinstance(payload, dict):
         raise ProtocolError(f"message {tag!r} carries no payload object")
     _request_id(payload)  # every message type carries one
-    return decode(payload, allow_pickled, tuple(frames))
+    return decode(payload, trusted, tuple(frames))
 
 
 # -- stream framing ----------------------------------------------------------

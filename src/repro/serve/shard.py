@@ -22,12 +22,11 @@ Two halves live here:
   connections** (one session thread each over the shared server — this is
   what backs the supervisor's per-shard connection pool); every connection
   starts with a :class:`~repro.serve.protocol.HelloCall` handshake that
-  pins the protocol version and negotiates the transport trust level
-  (source-only by default: executable artifacts are
-  downgraded to source text and pickled payloads are rejected — see
-  ``docs/wire-protocol.md``).  When a supervisor disconnects, the shard
-  keeps its warm state and goes back to accepting, so a restarted
-  supervisor reconnects to a hot shard.
+  pins the protocol version (see ``docs/wire-protocol.md``).  Shards
+  execute no received code: every executable kernel leaves as its source
+  plus interface, and only the receiver decides whether to run it.  When
+  a supervisor disconnects, the shard keeps its warm state and goes back
+  to accepting, so a restarted supervisor reconnects to a hot shard.
 
 A shard owns its own :class:`~repro.tune.TuningDatabase` *replica* (its own
 file), so shards never contend on one database file during traffic; the
@@ -224,16 +223,12 @@ def _serve_connection(
     connection,
     shard_id: int,
     server: KernelServer,
-    trusted: bool,
 ) -> bool:
     """Serve one supervisor connection until shutdown or disconnect.
 
     The message loop shared by spawned and TCP shards: ``connection`` is a
     :class:`~repro.serve.protocol.StreamConnection` over a socketpair end
-    or a TCP socket.  ``trusted`` is the transport's trust level: on an
-    untrusted (source-only) transport, incoming pickled payloads are
-    rejected at decode and every outgoing executable artifact is downgraded
-    to its source text (:func:`~repro.serve.protocol.source_only_result`).
+    or a TCP socket.
 
     Returns ``True`` if a :class:`~repro.serve.protocol.ShutdownCall` asked
     the shard to exit, ``False`` if the supervisor merely went away (EOF or
@@ -264,8 +259,6 @@ def _serve_connection(
                         f"result ready {late_s * 1e3:.1f} ms past its "
                         f"deadline; shedding"
                     )
-            if not trusted:
-                result = protocol.source_only_result(result)
             message = protocol.ServeReply(request_id=request_id, result=result)
         except BaseException as error:  # noqa: BLE001 - relayed over the wire
             message = protocol.ErrorReply.from_exception(request_id, error)
@@ -303,7 +296,7 @@ def _serve_connection(
             return False
         decode_started = time.perf_counter()
         try:
-            message = protocol.decode_message(data, allow_pickled=trusted)
+            message = protocol.decode_message(data)
         except ProtocolError as error:
             reply(protocol.ErrorReply.from_exception(-1, error))
             continue
@@ -427,32 +420,27 @@ def run_shard(
     :class:`~repro.serve.protocol.ShutdownCall` — or the supervisor closing
     its end of the socketpair — drains the server and exits.
 
-    The socketpair is fully trusted (the supervisor spawned this very
-    process), so executable artifacts cross as pickles and there is no
-    handshake.
+    The supervisor spawned this very process, so there is no handshake.
     """
     connection = protocol.StreamConnection(sock)
     db = _open_replica(db_path)
     server = KernelServer(db=db, devices=devices, workers=workers)
     try:
-        _serve_connection(connection, shard_id, server, trusted=True)
+        _serve_connection(connection, shard_id, server)
     finally:
         server.close()
         connection.close()
 
 
-def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
-    """Validate a fresh connection's hello.
-
-    Returns ``(session shard id, granted trust)``.
+def _accept_handshake(connection, default_shard_id: int) -> int:
+    """Validate a fresh connection's hello; returns the session shard id.
 
     The first frame must be a :class:`~repro.serve.protocol.HelloCall`
     pinning :data:`~repro.serve.protocol.PROTOCOL_VERSION`; anything else —
     a stale supervisor, a port scanner, a version-skewed build — is refused
     with a best-effort :class:`~repro.serve.protocol.ErrorReply` and a
     :class:`~repro.errors.ProtocolError` here (the caller drops the
-    connection and keeps listening).  The granted trust is the weaker of
-    the supervisor's request and this listener's policy.
+    connection and keeps listening).
     """
     message = protocol.decode_message(connection.recv_bytes())
     if not isinstance(message, protocol.HelloCall):
@@ -464,7 +452,6 @@ def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
             f"handshake pins protocol version {message.protocol_version}, "
             f"this shard speaks {protocol.PROTOCOL_VERSION}"
         )
-    granted = protocol.negotiate_trust(message.trust, trust_policy)
     shard_id = message.shard_id if message.shard_id >= 0 else default_shard_id
     connection.send_bytes(
         protocol.encode_message(
@@ -473,11 +460,10 @@ def _accept_handshake(connection, default_shard_id: int, trust_policy: str):
                 shard_id=shard_id,
                 pid=os.getpid(),
                 protocol_version=protocol.PROTOCOL_VERSION,
-                trust=granted,
             )
         )
     )
-    return shard_id, granted
+    return shard_id
 
 
 def serve_shard_tcp(
@@ -487,7 +473,6 @@ def serve_shard_tcp(
     devices: tuple[str, ...] = ("rtx4090",),
     db_path=None,
     workers: int = 4,
-    trust: str = protocol.TRUST_SOURCE,
     on_bound=None,
     metrics_port: int | None = None,
 ) -> None:
@@ -500,10 +485,8 @@ def serve_shard_tcp(
     own session thread over the shared server, which is what lets a
     supervisor keep a small connection pool per shard.  Each accepted
     socket must complete a :func:`handshake <_accept_handshake>` within
-    :data:`HANDSHAKE_TIMEOUT_S` (pinning the protocol version, adopting the
-    supervisor-assigned ring id, and negotiating trust — ``trust`` is the
-    most this listener's operator allows, :data:`~repro.serve.protocol.TRUST_SOURCE`
-    by default so cross-machine serving never ships executable pickles).
+    :data:`HANDSHAKE_TIMEOUT_S` (pinning the protocol version and adopting
+    the supervisor-assigned ring id).
     A failed handshake or a supervisor disconnect ends only that session;
     a :class:`~repro.serve.protocol.ShutdownCall` on *any* session closes
     the listener, drains every session, and exits.
@@ -567,13 +550,9 @@ def serve_shard_tcp(
     def session(connection) -> None:
         try:
             connection.settimeout(HANDSHAKE_TIMEOUT_S)
-            session_id, granted = _accept_handshake(connection, shard_id, trust)
+            session_id = _accept_handshake(connection, shard_id)
             connection.settimeout(None)
-            _LOG.info(
-                "shard %d accepted a supervisor session (trust %s)",
-                session_id,
-                granted,
-            )
+            _LOG.info("shard %d accepted a supervisor session", session_id)
         except ProtocolError as error:
             _LOG.warning("shard %d refused a handshake: %s", shard_id, error)
             try:
@@ -589,12 +568,7 @@ def serve_shard_tcp(
         except (EOFError, OSError):
             connection.close()
             return
-        asked_to_stop = _serve_connection(
-            connection,
-            session_id,
-            server,
-            trusted=granted == protocol.TRUST_PICKLED,
-        )
+        asked_to_stop = _serve_connection(connection, session_id, server)
         connection.close()
         if asked_to_stop:
             # Unblock the accept loop; it tears everything else down.
@@ -605,11 +579,10 @@ def serve_shard_tcp(
         listener.listen(16)
         bound_address.append(listener.getsockname()[:2])
         _LOG.info(
-            "shard %d listening on %s:%d (trust policy %s)",
+            "shard %d listening on %s:%d",
             shard_id,
             bound_address[0][0],
             bound_address[0][1],
-            trust,
         )
         if on_bound is not None:
             on_bound(bound_address[0])

@@ -17,13 +17,15 @@ unchanged):
 * **Remote shards** — ``connect=("host:port", ...)`` adds shards served by
   :func:`~repro.serve.shard.serve_shard_tcp` listeners (other machines, or
   just other processes) to the same ring.  Each connection starts with a
-  handshake that pins the protocol version and negotiates transport trust
-  (source-only by default: no executable pickles cross machines).  Remote
-  shards are *connected to*, never spawned: liveness is a ping deadline
-  instead of process aliveness, a disconnect removes the shard from the
-  ring (its keys rebalance to ring successors) and re-routes its pending
-  work, and the monitor re-dials with the same backoff schedule a local
-  respawn uses, re-adding the shard to the ring on success.
+  handshake that pins the protocol version.  Kernels from remote shards
+  arrive as source text unless the supervisor is built with
+  ``execute_remote=True``; kernels from spawned shards are always rebuilt
+  executable.  Remote shards are *connected to*, never spawned: liveness
+  is a ping deadline instead of process aliveness, a disconnect removes
+  the shard from the ring (its keys rebalance to ring successors) and
+  re-routes its pending work, and the monitor re-dials with the same
+  backoff schedule a local respawn uses, re-adding the shard to the ring
+  on success.
 * **Routing** — a :class:`~repro.serve.shard.ShardRouter` consistent-hashes
   each request's (kernel-family fingerprint, device) onto a shard; all
   traffic for one family lands on one shard and enjoys its resident table
@@ -409,7 +411,7 @@ class _ShardHandle:
 
 
 class _RemoteShardHandle(_ShardHandle):
-    """One remote TCP shard: its socket, trust level, and ping deadline.
+    """One remote TCP shard: its address, connections, and ping deadline.
 
     Remote shards are never spawned or restarted — the supervisor only
     holds a connection to a :func:`~repro.serve.shard.serve_shard_tcp`
@@ -420,11 +422,15 @@ class _RemoteShardHandle(_ShardHandle):
     """
 
     def __init__(
-        self, shard_id: int, devices: tuple[str, ...], address: tuple[str, int]
+        self,
+        shard_id: int,
+        devices: tuple[str, ...],
+        address: tuple[str, int],
+        trusted: bool,
     ) -> None:
         super().__init__(shard_id, devices)
         self.address = address
-        self.trusted = False  # until the handshake says otherwise
+        self.trusted = trusted
         self.reader_done = True  # not yet connected
         self.last_pong = 0.0
         self.last_ping_sent = 0.0
@@ -478,12 +484,10 @@ class ShardSupervisor:
             ``(host, port)`` pairs), each a
             :func:`~repro.serve.shard.serve_shard_tcp` listener.  Remote
             ring ids continue after the local ones.
-        remote_trust: the trust level requested from remote shards in the
-            handshake — :data:`~repro.serve.protocol.TRUST_SOURCE` (the
-            default: artifacts arrive as source text, never executable
-            pickles) or :data:`~repro.serve.protocol.TRUST_PICKLED` for
-            listeners the operator explicitly trusts.  The granted level is
-            whatever the shard's own policy allows, never more.
+        execute_remote: rebuild executable kernels from remote shards'
+            replies, which runs their source in this process.  Off by
+            default: ``python_exec`` artifacts from remote shards arrive as
+            source text.  Spawned shards' kernels are always executable.
         connect_timeout: how long to keep re-trying the initial connection
             to each remote shard before failing construction (listeners are
             often still starting when the supervisor comes up).
@@ -519,7 +523,7 @@ class ShardSupervisor:
         restart: bool = True,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         connect: tuple = (),
-        remote_trust: str = protocol.TRUST_SOURCE,
+        execute_remote: bool = False,
         connect_timeout: float = 10.0,
         pool: int = 2,
         tracer: tracing.Tracer | None = None,
@@ -536,15 +540,12 @@ class ShardSupervisor:
             raise ServingError(
                 f"cannot partition {len(devices)} device(s) across {shards} shards"
             )
-        if remote_trust not in (protocol.TRUST_SOURCE, protocol.TRUST_PICKLED):
-            raise ServingError(f"unknown remote trust level {remote_trust!r}")
         if pool < 1:
             raise ServingError(f"connection pool size must be positive, got {pool}")
         self.devices = tuple(devices)
         self.db_path = Path(db) if db is not None else None
         self.workers = workers
         self.restart = restart
-        self._remote_trust = remote_trust
         self._pool = pool
         self.tracer = tracer if tracer is not None else tracing.Tracer(sample_rate=0.0)
         self.tenants = TenantRegistry(tenants)
@@ -571,7 +572,7 @@ class ShardSupervisor:
         for offset, address in enumerate(addresses):
             shard_id = shards + offset
             self._handles[shard_id] = _RemoteShardHandle(
-                shard_id, self.devices, address
+                shard_id, self.devices, address, trusted=execute_remote
             )
         self.router = ShardRouter(self._handles, virtual_nodes=virtual_nodes)
         try:
@@ -698,13 +699,10 @@ class ShardSupervisor:
                 time.sleep(0.2)
 
     def _handshake_remote(self, handle: _RemoteShardHandle):
-        """One connect + hello exchange; raises on any failure.
+        """One connect + hello exchange; the connection, or raises.
 
-        Returns ``(connection, granted trust)``.  The hello pins
-        :data:`~repro.serve.protocol.PROTOCOL_VERSION`, assigns the shard
-        its ring id for this session, and requests ``remote_trust``; the
-        reply's *granted* trust governs whether results on this connection
-        may carry executable pickles.
+        The hello pins :data:`~repro.serve.protocol.PROTOCOL_VERSION` and
+        assigns the shard its ring id for this session.
         """
         sock = socket.create_connection(
             handle.address, timeout=_CONNECT_ATTEMPT_TIMEOUT_S
@@ -718,7 +716,6 @@ class ShardSupervisor:
                         request_id=request_id,
                         protocol_version=protocol.PROTOCOL_VERSION,
                         shard_id=handle.shard_id,
-                        trust=self._remote_trust,
                     )
                 )
             )
@@ -744,23 +741,16 @@ class ShardSupervisor:
                 f"this supervisor speaks {protocol.PROTOCOL_VERSION}"
             )
         connection.settimeout(None)
-        # The reply's granted trust is a *claim* by the peer: cap it at what
-        # we requested ourselves, so a malicious listener "granting" pickled
-        # on a source-only connection cannot make us unpickle its payloads.
-        granted = protocol.negotiate_trust(self._remote_trust, reply.trust)
-        return connection, granted
+        return connection
 
     def _connect_remote(self, handle: _RemoteShardHandle) -> None:
         """Establish a remote shard's link pool; raises on primary failure.
 
-        The primary connection's handshake decides the session's trust.  Up
-        to ``pool - 1`` extra keep-alive connections are then dialed
-        **best-effort** (each with its own handshake): a failure, or an
-        extra connection whose handshake disagrees with the primary's
-        trust, just stops pool growth.
+        Up to ``pool - 1`` extra keep-alive connections are dialed
+        **best-effort** after the primary (each with its own handshake): a
+        failure just stops pool growth.
         """
-        connection, granted = self._handshake_remote(handle)
-        handle.trusted = granted == protocol.TRUST_PICKLED
+        connection = self._handshake_remote(handle)
         handle.reader_done = False
         now = time.monotonic()
         handle.last_pong = now
@@ -768,12 +758,9 @@ class ShardSupervisor:
         self._attach_link(handle, connection)
         for _ in range(self._pool - 1):
             try:
-                extra, extra_granted = self._handshake_remote(handle)
+                extra = self._handshake_remote(handle)
             except (OSError, ServingError):
                 break  # serve over the links we already have
-            if extra_granted != granted:
-                extra.close()
-                break
             self._attach_link(handle, extra)
 
     # -- per-shard reader ---------------------------------------------------
@@ -802,9 +789,7 @@ class ShardSupervisor:
                 return
             try:
                 decode_started = time.perf_counter()
-                message = protocol.decode_message(
-                    data, allow_pickled=handle.trusted
-                )
+                message = protocol.decode_message(data, trusted=handle.trusted)
                 self._wire.record_receive(
                     len(data), time.perf_counter() - decode_started
                 )

@@ -1,11 +1,11 @@
 """Wire-protocol round trips: every message type, the container, framing.
 
 The property under test is that a message survives the wire *exactly* —
-including a pickled executable kernel artifact that must compute the same
-results after crossing — and that every malformed input (wrong version,
-unknown type, non-container bytes, truncated or inconsistent frames,
-trailing bytes, untrusted pickle) is rejected with :class:`ProtocolError`,
-never half-decoded.  Framing is tested on :class:`protocol.StreamConnection`
+including an executable kernel, rebuilt from its source and interface by a
+trusted decode, that must compute the same results after crossing — and
+that every malformed input (wrong version, unknown type, non-container
+bytes, truncated or inconsistent frames, trailing bytes) is rejected with
+:class:`ProtocolError`, never half-decoded.  Framing is tested on :class:`protocol.StreamConnection`
 over a real socketpair, the path every shard link runs.  The container's
 own guarantees and its frame fuzzing live in ``test_protocol_v2.py``.
 """
@@ -35,10 +35,14 @@ def served():
         yield server.serve(ServeRequest(kind="ntt", bits=BITS, size=SIZE))
 
 
-def round_trip(message, allow_pickled=False):
-    return protocol.decode_message(
-        protocol.encode_message(message), allow_pickled=allow_pickled
-    )
+def round_trip(message, trusted=False):
+    return protocol.decode_message(protocol.encode_message(message), trusted=trusted)
+
+
+def live_limbs(artifact) -> int:
+    """The kernel's limb-argument count, read from its wire interface."""
+    layout = artifact.interface()["param_layout"]
+    return sum(limb is not None for limbs in layout.values() for limb in limbs)
 
 
 def split(blob: bytes) -> tuple[dict, bytes]:
@@ -103,9 +107,9 @@ class TestMessageRoundTrips:
         )
         assert round_trip(message) == message
 
-    def test_serve_reply_with_pickled_kernel(self, served):
+    def test_serve_reply_with_executable_kernel(self, served):
         message = protocol.ServeReply(request_id=9, result=served)
-        decoded = round_trip(message, allow_pickled=True)
+        decoded = round_trip(message, trusted=True)
         assert decoded.request_id == 9
         result = decoded.result
         assert result.request == served.request
@@ -119,7 +123,9 @@ class TestMessageRoundTrips:
         assert result.tuning.trials == ()
         # The executable artifact computes identically after the wire.
         assert isinstance(result.artifact, CompiledKernel)
-        limbs = tuple(range(len(served.artifact.kernel.params)))
+        assert result.artifact.kernel is None
+        assert result.artifact.interface() == served.artifact.interface()
+        limbs = tuple(range(live_limbs(served.artifact)))
         assert result.artifact.call_limbs(*limbs) == served.artifact.call_limbs(*limbs)
 
     def test_serve_reply_with_source_artifact(self, served):
@@ -195,12 +201,12 @@ class TestMessageRoundTrips:
 
 
 class TestArtifactEncoding:
-    def test_pickled_kernel_requires_trust(self, served):
+    def test_untrusted_decode_returns_source(self, served):
         frames = []
         payload = protocol.encode_artifact(served.artifact, frames)
-        assert payload["encoding"] == "pickled_kernel"
-        with pytest.raises(ProtocolError, match="untrusted"):
-            protocol.decode_artifact(payload, frames=frames)  # allow_pickled defaults to False
+        assert payload["interface"] == served.artifact.interface()
+        decoded = protocol.decode_artifact(payload, frames=frames)  # untrusted by default
+        assert decoded == served.artifact.source
 
     def test_source_passes_untrusted(self):
         frames = []
@@ -210,19 +216,12 @@ class TestArtifactEncoding:
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ProtocolError, match="unknown artifact encoding"):
             protocol.decode_artifact(
-                {"encoding": "dll", "frame": 0}, allow_pickled=True, frames=(b"",)
+                {"encoding": "dll", "frame": 0}, trusted=True, frames=(b"",)
             )
 
     def test_unencodable_artifact_rejected(self):
         with pytest.raises(ProtocolError, match="cannot encode"):
             protocol.encode_artifact(object(), [])
-
-    def test_corrupt_pickle_rejected(self):
-        payload = {"encoding": "pickled_kernel", "frame": 0}
-        with pytest.raises(ProtocolError, match="corrupt"):
-            protocol.decode_artifact(
-                payload, allow_pickled=True, frames=(b"not a pickle!",)
-            )
 
 
 class TestVersionAndShape:
@@ -330,7 +329,6 @@ class TestHandshakeMessages:
             request_id=1,
             protocol_version=protocol.PROTOCOL_VERSION,
             shard_id=3,
-            trust=protocol.TRUST_SOURCE,
         )
         assert round_trip(message) == message
 
@@ -340,19 +338,8 @@ class TestHandshakeMessages:
             shard_id=3,
             pid=4242,
             protocol_version=protocol.PROTOCOL_VERSION,
-            trust=protocol.TRUST_PICKLED,
         )
         assert round_trip(message) == message
-
-    def test_unknown_trust_level_rejected(self):
-        message = protocol.HelloCall(
-            request_id=1,
-            protocol_version=protocol.PROTOCOL_VERSION,
-            shard_id=0,
-            trust="blindly",
-        )
-        with pytest.raises(ProtocolError, match="trust level"):
-            round_trip(message)
 
     @pytest.mark.parametrize(
         "field, value", [("protocol_version", True), ("shard_id", False)]
@@ -362,21 +349,9 @@ class TestHandshakeMessages:
             request_id=1,
             protocol_version=protocol.PROTOCOL_VERSION,
             shard_id=0,
-            trust=protocol.TRUST_SOURCE,
         )
         with pytest.raises(ProtocolError, match=field):
             protocol.decode_message(tamper_payload(hello, **{field: value}))
-
-    def test_negotiate_trust_grants_the_weaker_side(self):
-        pickled, source = protocol.TRUST_PICKLED, protocol.TRUST_SOURCE
-        assert protocol.negotiate_trust(pickled, pickled) == pickled
-        assert protocol.negotiate_trust(pickled, source) == source
-        assert protocol.negotiate_trust(source, pickled) == source
-        assert protocol.negotiate_trust(source, source) == source
-
-    def test_negotiate_trust_rejects_unknown_levels(self):
-        with pytest.raises(ProtocolError, match="trust level"):
-            protocol.negotiate_trust("root", protocol.TRUST_SOURCE)
 
     def test_source_only_result_downgrades_kernels(self, served):
         downgraded = protocol.source_only_result(served)

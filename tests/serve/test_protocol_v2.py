@@ -1,10 +1,11 @@
-"""The binary container (protocol version 2), frame fuzzing, fast framing.
+"""The binary container, frame fuzzing, fast framing.
 
 The acceptance properties of the wire live here: every message round-trips
 through the container (artifact bodies as raw length-prefixed frames — no
 base64, no JSON string-escaping), no JSON text can be mistaken for a
 container, and every malformed container — truncated frames,
-envelope/frame length disagreements, garbage, trailing bytes — fails with
+envelope/frame length disagreements, garbage, trailing bytes, kernel
+source or interfaces that do not rebuild — fails with
 :class:`ProtocolError`, never a hang or a bad allocation.  The fuzzed bytes
 travel through :class:`protocol.StreamConnection`, the framing every shard
 link runs.
@@ -42,10 +43,29 @@ def source_result(served):
     )
 
 
-def round_trip(message, allow_pickled=False):
-    return protocol.decode_message(
-        protocol.encode_message(message), allow_pickled=allow_pickled
-    )
+def round_trip(message, trusted=False):
+    return protocol.decode_message(protocol.encode_message(message), trusted=trusted)
+
+
+#: Kernel artifacts a trusted decode must refuse: (source, or ``None`` for
+#: the real kernel's; a change to its interface, or ``None``).
+MALFORMED_KERNELS = {
+    "interface not a dict": (None, sorted),
+    "missing interface key": (
+        None,
+        lambda interface: {k: v for k, v in interface.items() if k != "outputs"},
+    ),
+    "layout of the wrong type": (
+        None,
+        lambda interface: {**interface, "param_layout": list(interface["param_layout"])},
+    ),
+    "source defines no function": ("# no kernel here\n", None),
+    "source defines two functions": (
+        "def a():\n    return ()\n\n\ndef b():\n    return ()\n",
+        None,
+    ),
+    "function arity differs from the layout": ("def k(x):\n    return (x,)\n", None),
+}
 
 
 class TestV2RoundTrips:
@@ -70,14 +90,28 @@ class TestV2RoundTrips:
         with pytest.raises(UnicodeDecodeError):
             protocol.FRAME_MAGIC.decode("utf-8")
 
-    def test_pickled_kernel_round_trips_through_a_binary_frame(self, served):
+    def test_kernel_crosses_as_source_plus_interface(self, served):
         message = protocol.ServeReply(request_id=9, result=served)
-        decoded = round_trip(message, allow_pickled=True)
-        result = decoded.result
+        data = protocol.encode_message(message)
+        assert served.artifact.source.encode("utf-8") in data
+        head, _ = split(data)
+        assert head["payload"]["result"]["artifact"]["interface"] == (
+            served.artifact.interface()
+        )
+        result = protocol.decode_message(data, trusted=True).result
         assert result.request == served.request
         assert isinstance(result.artifact, CompiledKernel)
-        limbs = tuple(range(len(served.artifact.kernel.params)))
+        assert result.artifact.source == served.artifact.source
+        layout = result.artifact.interface()["param_layout"]
+        limbs = range(sum(limb is not None for names in layout.values() for limb in names))
         assert result.artifact.call_limbs(*limbs) == served.artifact.call_limbs(*limbs)
+
+    def test_repeated_trusted_decode_hits_the_kernel_cache(self, served):
+        data = protocol.encode_message(protocol.ServeReply(request_id=9, result=served))
+        first = protocol.decode_message(data, trusted=True).result.artifact
+        assert protocol.decode_message(data, trusted=True).result.artifact is first
+        # allow_pickled= is an alias of trusted=.
+        assert protocol.decode_message(data, allow_pickled=True).result.artifact is first
 
     def test_source_artifact_crosses_as_raw_utf8(self, served):
         source = "__global__ void k() {\n  /* newlines stay raw */\n}\n"
@@ -95,13 +129,8 @@ class TestV2RoundTrips:
         decoded = protocol.decode_message(data)
         assert decoded.result.artifact == source
 
-    def test_pickled_frame_is_trust_gated(self, served):
-        data = protocol.encode_message(protocol.ServeReply(request_id=9, result=served))
-        with pytest.raises(ProtocolError, match="unpickle"):
-            protocol.decode_message(data, allow_pickled=False)
-
     def test_unknown_encode_version_rejected(self):
-        for version in (1, 3):
+        for version in (protocol.PROTOCOL_VERSION - 1, protocol.PROTOCOL_VERSION + 1):
             with pytest.raises(ProtocolError, match="version"):
                 protocol.encode_message(protocol.PingCall(request_id=1), version=version)
 
@@ -124,10 +153,10 @@ class TestV2Fuzz:
     """
 
     @staticmethod
-    def feed(payload: bytes, allow_pickled: bool = False):
+    def feed(payload: bytes, trusted: bool = False):
         """Deliver one stream frame around ``payload``; decode its message."""
         frame = feed_raw(len(payload).to_bytes(4, "big") + payload)
-        return protocol.decode_message(frame, allow_pickled=allow_pickled)
+        return protocol.decode_message(frame, trusted=trusted)
 
     @staticmethod
     def blob(source_result) -> bytes:
@@ -177,9 +206,25 @@ class TestV2Fuzz:
                 self.feed(tamper(blob, frames=bad))
 
     def test_wrong_envelope_version_inside_container_rejected(self, source_result):
-        # The retired v1 number, written into a well-formed container.
-        with pytest.raises(ProtocolError, match="unsupported protocol version"):
-            self.feed(tamper(self.blob(source_result), **{"moma-serve": 1}))
+        # Retired version numbers, written into a well-formed container.
+        for version in (1, 2):
+            with pytest.raises(ProtocolError, match="unsupported protocol version"):
+                self.feed(tamper(self.blob(source_result), **{"moma-serve": version}))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_KERNELS))
+    def test_malformed_kernel_fails_a_trusted_decode(self, served, case):
+        source, change = MALFORMED_KERNELS[case]
+        interface = served.artifact.interface()
+        artifact = source if source is not None else served.artifact.source
+        head, tail = split(self.blob(dataclasses.replace(served, artifact=artifact)))
+        head["payload"]["result"]["artifact"]["interface"] = (
+            change(interface) if change is not None else interface
+        )
+        data = rebuild(head, tail)
+        # Untrusted, the interface is ignored and the source comes back.
+        assert self.feed(data).result.artifact == artifact
+        with pytest.raises(ProtocolError, match="does not rebuild"):
+            self.feed(data, trusted=True)
 
     def test_bad_frame_reference_rejected(self, source_result):
         # The payload references frame 0; an envelope declaring no frames

@@ -44,7 +44,7 @@ def shard():
 
 def call(connection, message):
     connection.send_bytes(protocol.encode_message(message))
-    return protocol.decode_message(connection.recv_bytes(), allow_pickled=True)
+    return protocol.decode_message(connection.recv_bytes(), trusted=True)
 
 
 class TestShardLoop:
@@ -55,8 +55,8 @@ class TestShardLoop:
             request_id=12, shard_id=SHARD_ID, pid=os.getpid()
         )
 
-    def test_serve_reply_carries_an_executable_pickle(self, shard):
-        # The socketpair is trusted: no downgrade to source text.
+    def test_serve_reply_rebuilds_as_an_executable_kernel(self, shard):
+        # The shard ships source plus interface; a trusted decode rebuilds it.
         connection, _, _ = shard
         request = ServeRequest(kind="blas", bits=64, operation="vadd")
         reply = call(connection, protocol.ServeCall(request_id=1, request=request))
@@ -64,6 +64,7 @@ class TestShardLoop:
         assert reply.request_id == 1
         assert reply.result.request == request
         assert isinstance(reply.result.artifact, CompiledKernel)
+        assert reply.result.artifact(x=2, y=3, q=7) == {"z": 5}
 
     def test_shutdown_call_ends_the_loop(self, shard):
         connection, thread, _ = shard

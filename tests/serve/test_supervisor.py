@@ -8,11 +8,15 @@ These tests spawn OS processes and are the slowest in the suite — one
 module-scoped cluster serves all the read-mostly tests.
 """
 
+import itertools
 import time
 
 import pytest
 
+from repro.core.codegen.python_exec import CompiledKernel
 from repro.errors import ReproError, ServingError
+from repro.kernels.ntt_gen import compile_butterfly_kernel
+from repro.ntt.planner import make_plan
 from repro.serve import ClusterStats, ServedNTT, ServeRequest, ShardSupervisor
 from repro.serve import protocol
 from repro.tune import TuningDatabase, replica_path
@@ -33,6 +37,36 @@ FAMILY_MIX = [
     ServeRequest(kind="blas", bits=128, operation="vsub"),
     ServeRequest(kind="blas", bits=256, operation="axpy"),
 ]
+
+#: A pruned width (384 bits fill 6 of 8 padded 64-bit limbs), Karatsuba.
+DIRECTED_REQUEST = ServeRequest(
+    kind="ntt", bits=384, size=SIZE, tune=False, multiplication="karatsuba"
+)
+
+
+def assert_matches_local_compile(result):
+    """A shipped butterfly computes what a local compile and bigints do.
+
+    Inputs are the directed edge values 0, 1, ``q-1`` and all-ones at each
+    parameter's effective width; bigints are checked where the inputs lie
+    below ``q``.  Widths come from the kernel's wire interface.
+    """
+    shipped = result.artifact
+    assert isinstance(shipped, CompiledKernel)
+    local = compile_butterfly_kernel(result.config)
+    plan = make_plan(result.request.size, result.config.effective_modulus_bits)
+    q, mu = plan.modulus, plan.mu
+    widths = {
+        name: effective or bits
+        for name, bits, effective in shipped.interface()["original_params"]
+    }
+    edges = {name: (0, 1, q - 1, (1 << widths[name]) - 1) for name in ("x", "y", "w")}
+    for x, y, w in itertools.product(edges["x"], edges["y"], edges["w"]):
+        got = shipped(x=x, y=y, w=w, q=q, mu=mu)
+        assert got == local(x=x, y=y, w=w, q=q, mu=mu)
+        if max(x, y, w) < q:
+            scaled = w * y % q
+            assert got == {"x_out": (x + scaled) % q, "y_out": (x - scaled) % q}
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +106,11 @@ class TestRoutedServing:
         for _ in range(3):
             assert supervisor.router.route(FAMILY_MIX[0]) == shard
 
-    def test_pickled_artifacts_are_executable(self, cluster):
-        supervisor, results, _ = cluster
-        artifact = results[0].artifact
-        limbs = tuple(range(len(artifact.kernel.params)))
-        assert isinstance(artifact.call_limbs(*limbs), tuple)
+    def test_local_shard_kernels_match_a_local_compile(self, cluster):
+        supervisor, _, _ = cluster
+        result = supervisor.serve(DIRECTED_REQUEST)
+        assert result.artifact.kernel is None  # rebuilt from source + interface
+        assert_matches_local_compile(result)
 
     def test_local_shards_use_the_socket_framing(self, cluster):
         # Spawned shards run over a socketpair with the framing TCP uses,

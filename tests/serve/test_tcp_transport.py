@@ -2,10 +2,10 @@
 
 The acceptance properties of the network transport live here: a supervisor
 serves requests through ≥2 shards over TCP, the handshake pins the protocol
-version and negotiates trust (source-only by default — pickled artifacts
-are rejected on untrusted transports while source text round-trips),
-killing a remote shard's connection re-routes its keys to ring successors
-without hanging in-flight futures, and a listener survives a supervisor
+version, kernels arrive as source text unless the supervisor was built
+with ``execute_remote=True`` (then they rebuild executable), killing a
+remote shard's connection re-routes its keys to ring successors without
+hanging in-flight futures, and a listener survives a supervisor
 disconnect (re-accept) and a bad handshake.
 
 TCP shards run as in-process listener threads (each owns a real
@@ -22,8 +22,15 @@ import time
 import pytest
 
 from repro.errors import ReproError, ServingError
-from repro.serve import ServeRequest, ShardSupervisor, serve_shard_tcp
+from repro.serve import (
+    ServedBlasEngine,
+    ServedNTT,
+    ServeRequest,
+    ShardSupervisor,
+    serve_shard_tcp,
+)
 from repro.serve import protocol
+from tests.serve.test_supervisor import DIRECTED_REQUEST, assert_matches_local_compile
 
 SIZE = 16
 
@@ -39,7 +46,7 @@ FAMILY_MIX = [
 ]
 
 
-def start_listener(trust=protocol.TRUST_SOURCE, shard_id=0, workers=2):
+def start_listener(shard_id=0, workers=2):
     """One TCP shard in a daemon thread; returns (address, thread)."""
     bound: queue.Queue = queue.Queue()
     thread = threading.Thread(
@@ -49,7 +56,6 @@ def start_listener(trust=protocol.TRUST_SOURCE, shard_id=0, workers=2):
             port=0,
             shard_id=shard_id,
             workers=workers,
-            trust=trust,
             on_bound=bound.put,
         ),
         daemon=True,
@@ -72,7 +78,6 @@ def shut_down_listener(address, thread):
                     request_id=1,
                     protocol_version=protocol.PROTOCOL_VERSION,
                     shard_id=-1,
-                    trust=protocol.TRUST_SOURCE,
                 )
             )
         )
@@ -118,12 +123,37 @@ class TestServingOverTcp:
         assert set(routed) == {0, 1}, f"all traffic landed on {set(routed)}"
 
     def test_source_only_artifacts_round_trip(self, tcp_cluster):
-        # The cross-machine default: executable kernels arrive as their
-        # generated source text, never as pickles.
+        # The default: remote kernels arrive as their generated source text.
         _, results = tcp_cluster
         for result in results:
             assert isinstance(result.artifact, str)
             assert "def " in result.artifact
+
+    def test_frontends_refuse_source_only_kernels_at_construction(self, tcp_cluster):
+        supervisor, _ = tcp_cluster
+        with pytest.raises(ServingError, match="execute_remote"):
+            ServedNTT(supervisor, size=SIZE, bits=64)
+        with pytest.raises(ServingError, match="execute_remote"):
+            ServedBlasEngine(supervisor, bits=64)
+
+    def test_execute_remote_ships_executable_kernels(self):
+        address, thread = start_listener()
+        try:
+            supervisor = ShardSupervisor(
+                shards=0,
+                devices=("rtx4090",),
+                connect=(address,),
+                execute_remote=True,
+            )
+            try:
+                assert_matches_local_compile(supervisor.serve(DIRECTED_REQUEST))
+                ntt = ServedNTT(supervisor, size=SIZE, bits=64)
+                values = list(range(SIZE))
+                assert ntt.inverse(ntt.forward(values)) == values
+            finally:
+                supervisor.close()
+        finally:
+            shut_down_listener(address, thread)
 
     def test_repeat_requests_are_warm(self, tcp_cluster):
         supervisor, _ = tcp_cluster
@@ -149,86 +179,6 @@ class TestServingOverTcp:
 
 
 class TestHandshake:
-    def test_handshake_grants_at_most_listener_policy(self):
-        # A source-only listener must downgrade a pickled request to source.
-        address, thread = start_listener(trust=protocol.TRUST_SOURCE)
-        try:
-            supervisor = ShardSupervisor(
-                shards=0,
-                devices=("rtx4090",),
-                connect=(address,),
-                remote_trust=protocol.TRUST_PICKLED,
-            )
-            try:
-                result = supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
-                assert isinstance(result.artifact, str)
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_pickled_trust_ships_executable_artifacts(self):
-        # Both ends opting in: the artifact crosses as an executable kernel.
-        address, thread = start_listener(trust=protocol.TRUST_PICKLED)
-        try:
-            supervisor = ShardSupervisor(
-                shards=0,
-                devices=("rtx4090",),
-                connect=(address,),
-                remote_trust=protocol.TRUST_PICKLED,
-            )
-            try:
-                result = supervisor.serve(ServeRequest(kind="ntt", bits=64, size=SIZE))
-                limbs = tuple(range(len(result.artifact.kernel.params)))
-                assert isinstance(result.artifact.call_limbs(*limbs), tuple)
-            finally:
-                supervisor.close()
-        finally:
-            shut_down_listener(address, thread)
-
-    def test_listener_cannot_escalate_granted_trust(self):
-        # A malicious listener "granting" pickled on a source-only request
-        # must not flip the supervisor into unpickling its payloads: the
-        # granted trust is capped at what the supervisor asked for.
-        bound: queue.Queue = queue.Queue()
-
-        def lying_listener():
-            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
-                listener.bind(("127.0.0.1", 0))
-                listener.listen(1)
-                bound.put(listener.getsockname()[:2])
-                sock, _ = listener.accept()
-                connection = protocol.StreamConnection(sock)
-                hello = protocol.decode_message(connection.recv_bytes())
-                connection.send_bytes(
-                    protocol.encode_message(
-                        protocol.HelloReply(
-                            request_id=hello.request_id,
-                            shard_id=hello.shard_id,
-                            pid=1,
-                            protocol_version=protocol.PROTOCOL_VERSION,
-                            trust=protocol.TRUST_PICKLED,  # the lie
-                        )
-                    )
-                )
-                time.sleep(1.0)  # keep the connection up for the assertion
-                connection.close()
-
-        thread = threading.Thread(target=lying_listener, daemon=True)
-        thread.start()
-        supervisor = ShardSupervisor(
-            shards=0,
-            devices=("rtx4090",),
-            connect=(bound.get(timeout=30),),
-            remote_trust=protocol.TRUST_SOURCE,
-            restart=False,
-        )
-        try:
-            assert supervisor._handles[0].trusted is False
-        finally:
-            supervisor.close()
-            thread.join(timeout=30)
-
     def test_version_mismatch_is_refused(self):
         address, thread = start_listener()
         try:
@@ -241,7 +191,6 @@ class TestHandshake:
                             request_id=1,
                             protocol_version=protocol.PROTOCOL_VERSION + 1,
                             shard_id=0,
-                            trust=protocol.TRUST_SOURCE,
                         )
                     )
                 )
@@ -276,7 +225,6 @@ class TestHandshake:
                         "request_id": 1,
                         "protocol_version": 1,
                         "shard_id": 0,
-                        "trust": protocol.TRUST_SOURCE,
                     },
                 }
                 connection.send_bytes(json.dumps(hello).encode("utf-8"))
@@ -432,8 +380,6 @@ class TestMixedRing:
             assert set(routed) == {0, 1}, f"all traffic landed on {set(routed)}"
             pongs = supervisor.ping()
             assert set(pongs) == {0, 1}
-            # The local socketpair stays fully trusted even while the TCP shard
-            # runs source-only: artifact types differ by transport.
             stats = supervisor.stats()
             assert len(stats.shards) == 2
         finally:
