@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-def _percentile(sorted_values, q: float) -> float:
+def _nearest_rank(sorted_values, q: float) -> float:
     """Exact nearest-rank percentile of pre-sorted values (0 when empty)."""
     if not sorted_values:
         return 0.0
@@ -155,9 +155,9 @@ def _tenant_blocks(outcomes) -> dict | None:
                 if served
                 else 0.0
             ),
-            "p50_latency_ms": _percentile(latencies_ms, 0.50),
-            "p95_latency_ms": _percentile(latencies_ms, 0.95),
-            "p99_latency_ms": _percentile(latencies_ms, 0.99),
+            "p50_latency_ms": _nearest_rank(latencies_ms, 0.50),
+            "p95_latency_ms": _nearest_rank(latencies_ms, 0.95),
+            "p99_latency_ms": _nearest_rank(latencies_ms, 0.99),
         }
     return blocks
 
@@ -226,9 +226,9 @@ def build_slo_report(
         ),
         error_rate=errors / total if total else 0.0,
         deadline_miss_rate=misses / total if total else 0.0,
-        p50_latency_ms=_percentile(latencies_ms, 0.50),
-        p95_latency_ms=_percentile(latencies_ms, 0.95),
-        p99_latency_ms=_percentile(latencies_ms, 0.99),
+        p50_latency_ms=_nearest_rank(latencies_ms, 0.50),
+        p95_latency_ms=_nearest_rank(latencies_ms, 0.95),
+        p99_latency_ms=_nearest_rank(latencies_ms, 0.99),
         fault_at_s=result.fault_at_s,
         recovery_window_s=_recovery_window(result),
         cluster=cluster_payload,

@@ -13,8 +13,9 @@ layer reports into:
 * :mod:`repro.obs.logs` — structured logging: namespaced per-module
   loggers, a trace-id correlation field on every record, optional JSON
   lines output.
-* :mod:`repro.obs.promtext` — Prometheus-style text exposition of the
-  serving tier's counters and latency histograms.
+* :mod:`repro.obs.registry` — the one metrics registry: labelled
+  counters, gauges and fixed-bucket histograms, with one sample wire form,
+  one merge, and one Prometheus text renderer.
 * :mod:`repro.obs.http` — the ``--metrics-port`` HTTP endpoint serving
   ``/metrics`` (text exposition) and ``/trace.json`` (trace export).
 
@@ -35,7 +36,7 @@ from repro.obs.trace import (
 )
 from repro.obs.export import chrome_trace, instant_event, write_chrome_trace
 from repro.obs.logs import configure_logging, get_logger
-from repro.obs.promtext import render_cluster_metrics, render_server_metrics
+from repro.obs.registry import Registry, merge, render
 from repro.obs.http import MetricsEndpoint
 
 __all__ = [
@@ -51,7 +52,8 @@ __all__ = [
     "write_chrome_trace",
     "configure_logging",
     "get_logger",
-    "render_cluster_metrics",
-    "render_server_metrics",
+    "Registry",
+    "merge",
+    "render",
     "MetricsEndpoint",
 ]

@@ -50,11 +50,9 @@ from repro.gpu.device import DEVICES
 from repro.kernels.blas_gen import BLAS_OPERATIONS
 from repro.kernels.ntt_gen import BUTTERFLY_VARIANTS
 from repro.obs import MetricsEndpoint, Tracer, configure_logging, write_chrome_trace
-from repro.obs.promtext import render_cluster_metrics, render_server_metrics
 from repro.tenancy import DEFAULT_TENANT
 from repro.tune.db import TuningDatabase
 from repro.tune.space import BLAS, NTT
-from repro.serve.metrics import HISTOGRAM_BUCKET_BOUNDS_MS
 from repro.serve.server import KernelServer, ServeRequest
 from repro.serve.shard import serve_shard_tcp
 from repro.serve.supervisor import ShardSupervisor
@@ -369,7 +367,7 @@ def _main_single(args: argparse.Namespace) -> int:
     ) as server:
         endpoint = _start_metrics(
             args,
-            lambda: render_server_metrics(server.metrics_snapshot()),
+            lambda: server.metrics_snapshot().render(),
             server.tracer.snapshot,
         )
         try:
@@ -437,9 +435,7 @@ def _main_sharded(args: argparse.Namespace, shards: int) -> int:
     try:
         endpoint = _start_metrics(
             args,
-            lambda: render_cluster_metrics(
-                supervisor.stats(), HISTOGRAM_BUCKET_BOUNDS_MS
-            ),
+            lambda: supervisor.stats().render(),
             supervisor.tracer.snapshot,
         )
         tenant = args.tenant if args.tenant is not None else DEFAULT_TENANT

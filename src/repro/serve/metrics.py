@@ -1,4 +1,4 @@
-"""Serving observability: request counters and latency percentiles.
+"""Serving observability: request outcomes as registry series, and their views.
 
 A :class:`ServerMetrics` lives inside every :class:`~repro.serve.KernelServer`
 and classifies each request into exactly one of four outcomes:
@@ -10,141 +10,155 @@ and classifies each request into exactly one of four outcomes:
 * **cold** — went through the full path (tuning lookup/search + compilation);
 * **error** — the request raised.
 
-Latencies are recorded for warm and cold serves (dedup'd requests resolve
-with their leader); :meth:`snapshot` folds everything into an immutable
-:class:`MetricsSnapshot` with p50/p95 latency, suitable for logging or the
-``--stats`` CLI flag.
+Each outcome is recorded once into a :class:`~repro.obs.registry.Registry`,
+labelled by ``tenant``; warm and cold latencies go into the
+``serve_latency_ms`` histogram, labelled by ``class`` too (dedup'd requests
+resolve with their leader).  Totals and per-tenant slices are the same
+series, summed or filtered.  Everything counts since the server started.
+
+:class:`MetricsSnapshot` is the read-only view of a sample list that every
+stats surface shares: a server's ``--stats`` report, a shard's stats reply
+(:class:`~repro.serve.protocol.ShardStats`), the cluster rollup
+(:class:`~repro.serve.supervisor.ClusterStats`) and each ``/metrics`` page
+(:meth:`MetricsSnapshot.render`).  :class:`WireSnapshot` reads the
+supervisor's ``wire_*`` series.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-from collections import deque
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
+from repro.obs.registry import (
+    COUNTER,
+    GAUGE,
+    HISTOGRAM,
+    HISTOGRAM_BUCKET_BOUNDS_MS,
+    Registry,
+    merge,
+    percentile_from_histogram,
+    render,
+)
 from repro.tenancy import DEFAULT_TENANT
 
 __all__ = [
+    "HELP",
     "MetricsSnapshot",
     "ServerMetrics",
-    "WireProfile",
     "WireSnapshot",
-    "HISTOGRAM_BUCKET_BOUNDS_MS",
-    "latency_histogram",
-    "percentile_from_histogram",
 ]
 
-#: Latency samples retained per class (oldest dropped first); bounds memory
-#: on a long-running server while keeping the percentiles current.
-LATENCY_WINDOW = 4096
+#: ``# HELP`` text of every family the serve tier renders.
+HELP = {
+    "requests_total": "Requests received.",
+    "warm_serves_total": "Requests answered from the resident table.",
+    "cold_serves_total": "Requests that ran tuning and compilation.",
+    "dedup_hits_total": "Requests that joined an in-flight twin.",
+    "errors_total": "Requests that raised.",
+    "in_flight": "Requests admitted at the front door and not yet completed.",
+    "quota_rejections_total": "Submissions refused over a tenant's admission quota.",
+    "tune_batches_total": "Tuning micro-batches executed.",
+    "batched_tunes_total": "Tuning requests inside those batches.",
+    "queue_depth": "Requests submitted but not yet fulfilled.",
+    "resident_kernels": "Served results held resident.",
+    "serve_latency_ms": "Serve latency by class since start (ms buckets).",
+    "latency_p50_ms": "Median serve latency (bucket upper bound).",
+    "latency_p95_ms": "95th-percentile serve latency (bucket upper bound).",
+    "tenant_warm_ratio": "Warm fraction of served requests, per tenant.",
+    "tenant_latency_p50_ms": "Median serve latency, per tenant (bucket upper bound).",
+    "tenant_latency_p95_ms": "95th-percentile serve latency, per tenant (bucket upper bound).",
+    "shards": "Live shards reporting.",
+    "shard_requests_total": "Requests served per shard.",
+    "wire_messages_sent_total": "Request messages encoded for shards.",
+    "wire_messages_received_total": "Reply messages decoded.",
+    "wire_flushes_total": "Transport flushes carrying those messages.",
+    "wire_bytes_sent_total": "Encoded request bytes written.",
+    "wire_bytes_received_total": "Reply bytes read.",
+    "wire_encode_seconds_total": "Wall time in message encoding.",
+    "wire_decode_seconds_total": "Wall time in reply decoding.",
+    "wire_route_seconds_total": "Wall time in shard routing.",
+    "wire_flush_seconds_total": "Wall time in transport flushes.",
+}
 
-#: Upper bucket bounds (milliseconds) of the fixed latency histogram the
-#: wire protocol ships between shards: log-2 spaced from 1 µs to ~17 s, with
-#: one implicit overflow bucket at the end.  The bounds being *fixed* is what
-#: makes per-shard histograms directly summable at the supervisor.
-HISTOGRAM_BUCKET_BOUNDS_MS = tuple(0.001 * (1 << i) for i in range(25))
+#: A server's per-request outcome counters (tenant-block field -> series),
+#: each labelled by tenant.
+_OUTCOMES = {
+    "requests": "requests_total",
+    "warm_serves": "warm_serves_total",
+    "cold_serves": "cold_serves_total",
+    "dedup_hits": "dedup_hits_total",
+    "errors": "errors_total",
+}
+
+#: Every tenant-labelled counter and gauge, outcomes plus the supervisor's
+#: admission state; ``/metrics`` also renders each as ``tenant_<series>``.
+_TENANT_SERIES = {**_OUTCOMES, "in_flight": "in_flight", "rejected": "quota_rejections_total"}
+HELP.update(
+    {f"tenant_{name}": f"{HELP[name][:-1]}, per tenant." for name in _TENANT_SERIES.values()}
+)
 
 
-def _percentile(samples: tuple[float, ...], q: float) -> float:
-    """The ``q``-quantile (0 < q <= 1) by the nearest-rank method, or 0.0."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+def _matches(labels: dict, wanted: dict) -> bool:
+    return all(labels.get(key) == value for key, value in wanted.items())
 
 
-def latency_histogram(samples_s: tuple[float, ...]) -> tuple[int, ...]:
-    """Bucket latency samples (seconds) into the fixed histogram.
-
-    Returns one count per bound in :data:`HISTOGRAM_BUCKET_BOUNDS_MS` plus a
-    final overflow bucket.  Histograms from different servers can be merged
-    by element-wise addition, which is how the shard supervisor computes
-    global percentiles without shipping raw samples.
-    """
-    counts = [0] * (len(HISTOGRAM_BUCKET_BOUNDS_MS) + 1)
-    for sample in samples_s:
-        ms = sample * 1e3
-        for index, bound in enumerate(HISTOGRAM_BUCKET_BOUNDS_MS):
-            if ms <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[-1] += 1
-    return tuple(counts)
+def _total(name: str) -> property:
+    """A view property: series ``name`` summed over every label set."""
+    return property(lambda self: self.value(name), doc=f"{HELP[name]} (``{name}``)")
 
 
-def percentile_from_histogram(counts: tuple[int, ...], q: float) -> float:
-    """Approximate the ``q``-quantile (ms) of a bucketed latency histogram.
-
-    ``q`` is a fraction in ``[0.0, 1.0]`` — passing a percent (``q=95``)
-    raises ``ValueError`` instead of silently reporting the maximum bucket.
-    ``q=0.0`` reports the first occupied bucket's bound (the minimum, up to
-    bucket resolution) and ``q=1.0`` the last occupied one; an empty (or
-    all-zero) histogram reports 0.0.  Counts beyond the known bounds —
-    including the overflow bucket — report the largest *finite* bound, so
-    the result never indexes past :data:`HISTOGRAM_BUCKET_BOUNDS_MS`.
-
-    Returns the upper bound of the bucket holding the nearest-rank sample.
-    The approximation error is bounded by the log-2 bucket spacing, which
-    is plenty for the p50/p95 the stats report shows.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be a fraction in [0, 1], got {q!r}")
-    total = sum(counts)
-    if not total:
-        return 0.0
-    rank = max(1, math.ceil(q * total))
-    seen = 0
-    for index, count in enumerate(counts):
-        seen += count
-        if seen >= rank:
-            bounded = min(index, len(HISTOGRAM_BUCKET_BOUNDS_MS) - 1)
-            return HISTOGRAM_BUCKET_BOUNDS_MS[bounded]
-    # Unreachable while rank <= total, but a malformed counts iterable
-    # (negative entries) must still not index past the last bucket.
-    return HISTOGRAM_BUCKET_BOUNDS_MS[-1]
+def _quantile(q: float, **labels) -> property:
+    """A view property: the ``q``-quantile (ms) of the matching latencies."""
+    return property(
+        lambda self: percentile_from_histogram(self.histogram(**labels), q),
+        doc=f"The {q:g}-quantile of ``serve_latency_ms`` {labels or ''} (ms).",
+    )
 
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """One immutable view of a server's counters.
+    """A read-only view of registry samples (see :mod:`repro.obs.registry`).
 
-    Attributes:
-        requests: every request received (sum of the four outcome classes).
-        warm_serves: requests answered from the resident table.
-        cold_serves: requests that went through tuning + compilation.
-        dedup_hits: requests that shared an in-flight identical request.
-        errors: requests that raised.
-        tune_batches: micro-batches the tuning batcher executed.
-        batched_tunes: tuning requests processed inside those batches.
-        queue_depth: in-flight (submitted, unfinished) requests right now.
-        resident_kernels: fully-served results held in the resident table.
-        p50_latency_ms: median serve latency (warm + cold samples).
-        p95_latency_ms: 95th-percentile serve latency.
-        warm_p50_latency_ms: median latency of warm serves alone.
-        cold_p50_latency_ms: median latency of cold serves alone.
-        tenants: per-tenant outcome breakdown (see
-            :meth:`ServerMetrics.tenant_breakdown`); empty when only the
-            default tenant has been seen, so untenanted deployments are
-            byte-identical to pre-tenancy snapshots on the wire.
+    Each counter and gauge attribute (``requests``, ``warm_serves``, ...)
+    is its series summed over tenants; its docstring is the series'
+    :data:`HELP` text.  The latency percentiles are read off the
+    ``serve_latency_ms`` histograms (warm and cold together, or one
+    class), as the upper bound of the bucket holding the nearest-rank
+    sample.  :attr:`tenants` holds per-tenant blocks once a non-default
+    tenant has been seen.
     """
 
-    requests: int
-    warm_serves: int
-    cold_serves: int
-    dedup_hits: int
-    errors: int
-    tune_batches: int
-    batched_tunes: int
-    queue_depth: int
-    resident_kernels: int
-    p50_latency_ms: float
-    p95_latency_ms: float
-    warm_p50_latency_ms: float
-    cold_p50_latency_ms: float
-    tenants: dict = field(default_factory=dict)
+    samples: tuple = ()
+
+    requests = _total("requests_total")
+    warm_serves = _total("warm_serves_total")
+    cold_serves = _total("cold_serves_total")
+    dedup_hits = _total("dedup_hits_total")
+    errors = _total("errors_total")
+    tune_batches = _total("tune_batches_total")
+    batched_tunes = _total("batched_tunes_total")
+    queue_depth = _total("queue_depth")
+    resident_kernels = _total("resident_kernels")
+    p50_latency_ms = _quantile(0.50)
+    p95_latency_ms = _quantile(0.95)
+    warm_p50_latency_ms = _quantile(0.50, **{"class": "warm"})
+    cold_p50_latency_ms = _quantile(0.50, **{"class": "cold"})
+
+    def value(self, name: str, **labels):
+        """Counter or gauge ``name`` summed over the series matching ``labels``."""
+        return sum(
+            value
+            for kind, series, held, value in self.samples
+            if series == name and kind != HISTOGRAM and _matches(held, labels)
+        )
+
+    def histogram(self, **labels) -> tuple[int, ...]:
+        """``serve_latency_ms`` bucket counts summed over matching series."""
+        counts = [0] * (len(HISTOGRAM_BUCKET_BOUNDS_MS) + 1)
+        for kind, name, held, value in self.samples:
+            if name == "serve_latency_ms" and _matches(held, labels):
+                counts = [a + b for a, b in zip(counts, value["counts"])]
+        return tuple(counts)
 
     @property
     def warm_rate(self) -> float:
@@ -152,28 +166,106 @@ class MetricsSnapshot:
         served = self.warm_serves + self.cold_serves
         return self.warm_serves / served if served else 0.0
 
-    def report(self) -> str:
-        """Human-readable multi-line summary (the ``--stats`` output)."""
-        return "\n".join(
+    def _tenant_block(self, tenant: str) -> dict:
+        """One tenant's outcome counts, admission state and percentiles."""
+        block = {
+            field: self.value(name, tenant=tenant) for field, name in _TENANT_SERIES.items()
+        }
+        served = block["warm_serves"] + block["cold_serves"]
+        block["warm_ratio"] = block["warm_serves"] / served if served else 0.0
+        buckets = self.histogram(tenant=tenant)
+        for q in (50, 95, 99):
+            block[f"p{q}_latency_ms"] = percentile_from_histogram(buckets, q / 100)
+        return block
+
+    @property
+    def tenants(self) -> dict[str, dict]:
+        """Tenant id → its outcome counts, admission state, warm ratio and
+        p50/p95/p99, once a non-default tenant shows up."""
+        seen = {labels["tenant"] for _, _, labels, _ in self.samples if "tenant" in labels}
+        if seen <= {DEFAULT_TENANT}:
+            return {}
+        return {tenant: self._tenant_block(tenant) for tenant in sorted(seen)}
+
+    def exposition(self) -> list[list]:
+        """The ``/metrics`` samples: totals, percentiles and tenant slices.
+
+        Every series renders summed over tenants under its own name.  Once
+        a non-default tenant appears, each tenant-labelled counter and
+        gauge also renders per tenant as ``tenant_<name>``, and each
+        tenant's warm ratio and p50/p95 as gauges.
+        """
+        totals = merge(
             [
-                f"requests      {self.requests} "
-                f"(warm {self.warm_serves}, cold {self.cold_serves}, "
-                f"dedup {self.dedup_hits}, errors {self.errors})",
-                f"warm rate     {self.warm_rate * 100:.1f}%",
-                f"tuning        {self.batched_tunes} tunes in {self.tune_batches} batches",
-                f"queue depth   {self.queue_depth} in flight, "
-                f"{self.resident_kernels} resident kernels",
-                f"latency       p50 {self.p50_latency_ms:.3f} ms, "
-                f"p95 {self.p95_latency_ms:.3f} ms "
-                f"(warm p50 {self.warm_p50_latency_ms:.3f} ms, "
-                f"cold p50 {self.cold_p50_latency_ms:.3f} ms)",
+                [kind, name, {k: v for k, v in labels.items() if k != "tenant"}, value]
+                for kind, name, labels, value in self.samples
             ]
         )
+        samples = totals + [
+            [GAUGE, "latency_p50_ms", {}, self.p50_latency_ms],
+            [GAUGE, "latency_p95_ms", {}, self.p95_latency_ms],
+        ]
+        tenants = self.tenants
+        if tenants:
+            samples += [
+                [kind, f"tenant_{name}", labels, value]
+                for kind, name, labels, value in self.samples
+                if "tenant" in labels and kind != HISTOGRAM
+            ]
+        for tenant, block in tenants.items():
+            for field, name in (
+                ("warm_ratio", "tenant_warm_ratio"),
+                ("p50_latency_ms", "tenant_latency_p50_ms"),
+                ("p95_latency_ms", "tenant_latency_p95_ms"),
+            ):
+                samples.append([GAUGE, name, {"tenant": tenant}, block[field]])
+        return samples
+
+    def render(self) -> str:
+        """The Prometheus text exposition served on ``/metrics``."""
+        return render(self.exposition(), HELP)
+
+    def _headline(self) -> str:
+        """The start of the report's first line, naming what it counts."""
+        return f"requests      {self.requests} "
+
+    def report(self) -> str:
+        """Human-readable multi-line summary (the ``--stats`` output)."""
+        lines = [
+            f"{self._headline()}"
+            f"(warm {self.warm_serves}, cold {self.cold_serves}, "
+            f"dedup {self.dedup_hits}, errors {self.errors})",
+            f"warm rate     {self.warm_rate * 100:.1f}%",
+            f"tuning        {self.batched_tunes} tunes in {self.tune_batches} batches",
+            f"queue depth   {self.queue_depth} in flight, "
+            f"{self.resident_kernels} resident kernels",
+            f"latency       p50 ≤{self.p50_latency_ms:.3f} ms, "
+            f"p95 ≤{self.p95_latency_ms:.3f} ms "
+            f"(warm p50 ≤{self.warm_p50_latency_ms:.3f} ms, "
+            f"cold p50 ≤{self.cold_p50_latency_ms:.3f} ms)",
+        ]
+        for tenant, block in self.tenants.items():
+            lines.append(
+                f"  tenant {tenant}: {block['requests']} requests, "
+                f"warm {block['warm_serves']}, "
+                f"cold {block['cold_serves']}, "
+                f"errors {block['errors']}, "
+                f"rejected {block['rejected']}, "
+                f"p50 ≤{block['p50_latency_ms']:.3f} ms, "
+                f"p95 ≤{block['p95_latency_ms']:.3f} ms"
+            )
+        return "\n".join(lines)
+
+
+def _wire_series(field: str) -> str:
+    """The ``wire_*`` series behind a :class:`WireSnapshot` field."""
+    unit = f"{field[:-2]}_seconds" if field.endswith("_s") else field
+    return f"wire_{unit}_total"
 
 
 @dataclass(frozen=True)
 class WireSnapshot:
-    """One immutable view of the supervisor's wire-path costs.
+    """The supervisor's wire-path costs, read off its ``wire_*`` series.
 
     Attributes:
         messages_sent: request messages encoded and enqueued for shards.
@@ -188,15 +280,26 @@ class WireSnapshot:
         flush_s: wall time spent writing/flushing batches to transports.
     """
 
-    messages_sent: int
-    messages_received: int
-    flushes: int
-    bytes_sent: int
-    bytes_received: int
-    encode_s: float
-    decode_s: float
-    route_s: float
-    flush_s: float
+    messages_sent: int = 0
+    messages_received: int = 0
+    flushes: int = 0
+    bytes_sent: int = 0
+    bytes_received: int = 0
+    encode_s: float = 0.0
+    decode_s: float = 0.0
+    route_s: float = 0.0
+    flush_s: float = 0.0
+
+    @classmethod
+    def from_samples(cls, samples) -> "WireSnapshot":
+        """The ``wire_*`` totals of a sample list."""
+        view = MetricsSnapshot(tuple(samples))
+        return cls(
+            **{
+                field.name: view.value(_wire_series(field.name))
+                for field in dataclasses.fields(cls)
+            }
+        )
 
     @property
     def coalescing_ratio(self) -> float:
@@ -204,7 +307,7 @@ class WireSnapshot:
         return self.messages_sent / self.flushes if self.flushes else 0.0
 
     def delta(self, since: "WireSnapshot") -> "WireSnapshot":
-        """The activity *between* two snapshots of the same profile.
+        """The activity *between* two snapshots of the same supervisor.
 
         Snapshots are monotonic totals since the supervisor started, so a
         caller polling ``--stats`` repeatedly must difference consecutive
@@ -215,15 +318,12 @@ class WireSnapshot:
             window = supervisor.wire_snapshot().delta(before)
         """
         return WireSnapshot(
-            messages_sent=self.messages_sent - since.messages_sent,
-            messages_received=self.messages_received - since.messages_received,
-            flushes=self.flushes - since.flushes,
-            bytes_sent=self.bytes_sent - since.bytes_sent,
-            bytes_received=self.bytes_received - since.bytes_received,
-            encode_s=self.encode_s - since.encode_s,
-            decode_s=self.decode_s - since.decode_s,
-            route_s=self.route_s - since.route_s,
-            flush_s=self.flush_s - since.flush_s,
+            *(
+                after - before
+                for after, before in zip(
+                    dataclasses.astuple(self), dataclasses.astuple(since)
+                )
+            )
         )
 
     def report(self) -> str:
@@ -240,225 +340,61 @@ class WireSnapshot:
         )
 
 
-class WireProfile:
-    """Thread-safe accumulator for the supervisor's wire-path profile.
-
-    Dispatchers, sender threads, and reader threads all record into one
-    instance; :meth:`snapshot` folds it into an immutable
-    :class:`WireSnapshot` for :class:`~repro.serve.ClusterStats`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._messages_sent = 0
-        self._messages_received = 0
-        self._flushes = 0
-        self._bytes_sent = 0
-        self._bytes_received = 0
-        self._encode_s = 0.0
-        self._decode_s = 0.0
-        self._route_s = 0.0
-        self._flush_s = 0.0
-
-    def record_send(self, size: int, encode_s: float, route_s: float = 0.0) -> None:
-        """Count one encoded request message of ``size`` bytes."""
-        with self._lock:
-            self._messages_sent += 1
-            self._bytes_sent += size
-            self._encode_s += encode_s
-            self._route_s += route_s
-
-    def record_receive(self, size: int, decode_s: float) -> None:
-        """Count one decoded reply message of ``size`` bytes."""
-        with self._lock:
-            self._messages_received += 1
-            self._bytes_received += size
-            self._decode_s += decode_s
-
-    def record_flush(self, elapsed_s: float) -> None:
-        """Count one transport flush (however many messages it carried)."""
-        with self._lock:
-            self._flushes += 1
-            self._flush_s += elapsed_s
-
-    def snapshot(self) -> WireSnapshot:
-        """Fold the counters into an immutable snapshot."""
-        with self._lock:
-            return WireSnapshot(
-                messages_sent=self._messages_sent,
-                messages_received=self._messages_received,
-                flushes=self._flushes,
-                bytes_sent=self._bytes_sent,
-                bytes_received=self._bytes_received,
-                encode_s=self._encode_s,
-                decode_s=self._decode_s,
-                route_s=self._route_s,
-                flush_s=self._flush_s,
-            )
-
-
-class _TenantCounters:
-    """One tenant's slice of the outcome counters (guarded by the owner)."""
-
-    __slots__ = (
-        "requests",
-        "warm",
-        "cold",
-        "dedup",
-        "errors",
-        "warm_latencies",
-        "cold_latencies",
-    )
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.warm = 0
-        self.cold = 0
-        self.dedup = 0
-        self.errors = 0
-        self.warm_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self.cold_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-
-    def block(self) -> dict:
-        """The JSON-ready per-tenant stats block the wire protocol ships."""
-        return {
-            "requests": self.requests,
-            "warm_serves": self.warm,
-            "cold_serves": self.cold,
-            "dedup_hits": self.dedup,
-            "errors": self.errors,
-            "warm_histogram": list(latency_histogram(tuple(self.warm_latencies))),
-            "cold_histogram": list(latency_histogram(tuple(self.cold_latencies))),
-        }
-
-
 class ServerMetrics:
-    """Thread-safe counters behind :meth:`KernelServer.metrics_snapshot`.
+    """Thread-safe outcome recording behind :meth:`KernelServer.metrics_snapshot`.
 
-    Every recording method takes the request's tenant; the totals count all
-    traffic as before, while per-tenant slices feed
-    :meth:`tenant_breakdown`.
+    Every recording method takes the request's tenant and records one
+    series update (plus one histogram observation for a warm or cold
+    serve) into :attr:`registry`.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._requests = 0
-        self._warm = 0
-        self._cold = 0
-        self._dedup = 0
-        self._errors = 0
-        self._tune_batches = 0
-        self._batched_tunes = 0
-        self._warm_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._cold_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._tenants: dict[str, _TenantCounters] = {}
-
-    def _tenant(self, tenant: str) -> _TenantCounters:
-        counters = self._tenants.get(tenant)
-        if counters is None:
-            counters = self._tenants[tenant] = _TenantCounters()
-        return counters
+        self.registry = Registry()
+        default = {"tenant": DEFAULT_TENANT}
+        for name in _OUTCOMES.values():
+            self.registry.declare(COUNTER, name, default)
+        for served in ("warm", "cold"):
+            self.registry.declare(HISTOGRAM, "serve_latency_ms", {**default, "class": served})
+        self.registry.declare(COUNTER, "tune_batches_total")
+        self.registry.declare(COUNTER, "batched_tunes_total")
 
     def record_request(self, tenant: str = DEFAULT_TENANT) -> None:
         """Count one incoming request (before its outcome is known)."""
-        with self._lock:
-            self._requests += 1
-            self._tenant(tenant).requests += 1
+        self.registry.inc("requests_total", labels={"tenant": tenant})
+
+    def _record_serve(self, served: str, latency_s: float, tenant: str) -> None:
+        self.registry.inc(f"{served}_serves_total", labels={"tenant": tenant})
+        self.registry.observe(
+            "serve_latency_ms", latency_s * 1e3, {"class": served, "tenant": tenant}
+        )
 
     def record_warm(self, latency_s: float, tenant: str = DEFAULT_TENANT) -> None:
         """Count one resident-table serve."""
-        with self._lock:
-            self._warm += 1
-            self._warm_latencies.append(latency_s)
-            counters = self._tenant(tenant)
-            counters.warm += 1
-            counters.warm_latencies.append(latency_s)
+        self._record_serve("warm", latency_s, tenant)
 
     def record_cold(self, latency_s: float, tenant: str = DEFAULT_TENANT) -> None:
         """Count one full-path (tune + compile) serve."""
-        with self._lock:
-            self._cold += 1
-            self._cold_latencies.append(latency_s)
-            counters = self._tenant(tenant)
-            counters.cold += 1
-            counters.cold_latencies.append(latency_s)
+        self._record_serve("cold", latency_s, tenant)
 
     def record_dedup(self, tenant: str = DEFAULT_TENANT) -> None:
         """Count one request attached to an in-flight identical request."""
-        with self._lock:
-            self._dedup += 1
-            self._tenant(tenant).dedup += 1
+        self.registry.inc("dedup_hits_total", labels={"tenant": tenant})
 
     def record_error(self, tenant: str = DEFAULT_TENANT) -> None:
         """Count one failed request."""
-        with self._lock:
-            self._errors += 1
-            self._tenant(tenant).errors += 1
+        self.registry.inc("errors_total", labels={"tenant": tenant})
 
     def record_tune_batch(self, size: int) -> None:
         """Count one executed tuning micro-batch of ``size`` requests."""
-        with self._lock:
-            self._tune_batches += 1
-            self._batched_tunes += size
-
-    def latency_samples(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The retained (warm, cold) latency samples in seconds.
-
-        The shard protocol buckets these into :func:`latency_histogram` so a
-        supervisor can merge percentiles across processes.
-        """
-        with self._lock:
-            return tuple(self._warm_latencies), tuple(self._cold_latencies)
-
-    def tenant_breakdown(self) -> dict[str, dict]:
-        """Per-tenant outcome counters, JSON-ready for the stats wire.
-
-        Keys are tenant ids; each block carries ``requests``,
-        ``warm_serves``, ``cold_serves``, ``dedup_hits``, ``errors`` and the
-        fixed-bucket ``warm_histogram``/``cold_histogram``.  Returns ``{}``
-        while only the default tenant has been seen: an untenanted server's
-        stats replies stay byte-identical to the pre-tenant wire, and the
-        breakdown (including the default slice) appears the moment a second
-        namespace shows up.
-        """
-        with self._lock:
-            if set(self._tenants) <= {DEFAULT_TENANT}:
-                return {}
-            return {
-                tenant: counters.block()
-                for tenant, counters in sorted(self._tenants.items())
-            }
+        self.registry.inc("tune_batches_total")
+        self.registry.inc("batched_tunes_total", size)
 
     def snapshot(self, queue_depth: int = 0, resident_kernels: int = 0) -> MetricsSnapshot:
-        """Fold the counters into an immutable snapshot.
+        """The registry's samples as a :class:`MetricsSnapshot`.
 
         ``queue_depth`` and ``resident_kernels`` are gauges owned by the
-        server (they are sizes of its tables), passed in at snapshot time.
+        server (they are sizes of its tables), set at snapshot time.
         """
-        with self._lock:
-            warm = tuple(self._warm_latencies)
-            cold = tuple(self._cold_latencies)
-            combined = warm + cold
-            return MetricsSnapshot(
-                requests=self._requests,
-                warm_serves=self._warm,
-                cold_serves=self._cold,
-                dedup_hits=self._dedup,
-                errors=self._errors,
-                tune_batches=self._tune_batches,
-                batched_tunes=self._batched_tunes,
-                queue_depth=queue_depth,
-                resident_kernels=resident_kernels,
-                p50_latency_ms=_percentile(combined, 0.50) * 1e3,
-                p95_latency_ms=_percentile(combined, 0.95) * 1e3,
-                warm_p50_latency_ms=_percentile(warm, 0.50) * 1e3,
-                cold_p50_latency_ms=_percentile(cold, 0.50) * 1e3,
-                tenants=(
-                    {
-                        tenant: counters.block()
-                        for tenant, counters in sorted(self._tenants.items())
-                    }
-                    if not set(self._tenants) <= {DEFAULT_TENANT}
-                    else {}
-                ),
-            )
+        self.registry.set("queue_depth", queue_depth)
+        self.registry.set("resident_kernels", resident_kernels)
+        return MetricsSnapshot(tuple(self.registry.samples()))

@@ -33,10 +33,9 @@ Message types (each a frozen dataclass):
 * :class:`ErrorReply` — a failed request: the error's repro exception class
   name plus its message; :meth:`ErrorReply.exception` rebuilds a raisable
   error on the caller's side.
-* :class:`StatsCall` / :class:`StatsReply` — one shard's counters and
-  fixed-bucket latency histograms (:class:`ShardStats`); histograms are
-  element-wise summable, which is how the supervisor merges p50/p95 across
-  shards.
+* :class:`StatsCall` / :class:`StatsReply` — one shard's metrics registry
+  samples (:class:`ShardStats`): counters, gauges and fixed-bucket latency
+  histograms, all summable, which is how the supervisor merges them.
 * :class:`PingCall` / :class:`PongReply` — liveness probe used by the
   supervisor's monitor.
 * :class:`HelloCall` / :class:`HelloReply` — the TCP transport handshake:
@@ -75,9 +74,11 @@ from repro import errors
 from repro.errors import ProtocolError
 from repro.core.codegen.python_exec import CompiledKernel
 from repro.kernels.config import KernelConfig
+from repro.obs.registry import check_samples
 from repro.tenancy import DEFAULT_TENANT, validate_tenant
 from repro.tune.space import Candidate, Workload
 from repro.tune.tuner import TuningResult
+from repro.serve.metrics import MetricsSnapshot
 from repro.serve.server import ServeRequest, ServeResult
 
 __all__ = [
@@ -111,7 +112,7 @@ __all__ = [
 #: The container version.  Bumped on every *incompatible* wire change; a
 #: decoder rejects other versions, and the hello pins it before any payload
 #: is trusted.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Alias of :data:`PROTOCOL_VERSION`, kept for callers that still name it.
 MAX_PROTOCOL_VERSION = PROTOCOL_VERSION
@@ -368,36 +369,18 @@ class StatsCall:
 
 
 @dataclass(frozen=True)
-class ShardStats:
-    """One shard's counters, in the supervisor-mergeable wire form.
+class ShardStats(MetricsSnapshot):
+    """One shard's identity plus its metrics registry samples.
 
-    Counter fields mirror :class:`~repro.serve.metrics.MetricsSnapshot`;
-    latencies travel as fixed-bucket histograms
-    (:func:`~repro.serve.metrics.latency_histogram`) so global percentiles
-    can be computed by summing buckets across shards.
-
-    ``tenants`` is the **additive** per-tenant breakdown: tenant id →
-    ``{"requests", "warm_serves", "cold_serves", "errors",
-    "warm_histogram", "cold_histogram"}``.  Emitted only when non-empty
-    and decoded tolerantly (a malformed or absent breakdown degrades to
-    ``{}``), so pre-tenant peers interoperate and a newer peer's schema
-    cannot break the stats path.
+    ``samples`` is the shard server's
+    :meth:`~repro.obs.registry.Registry.samples` — the one wire form every
+    stats surface shares — so the supervisor's rollup is a
+    :func:`~repro.obs.registry.merge` and every counter view
+    (``requests``, ``warm_serves``, ...) reads the same series.
     """
 
-    shard_id: int
-    pid: int
-    requests: int
-    warm_serves: int
-    cold_serves: int
-    dedup_hits: int
-    errors: int
-    tune_batches: int
-    batched_tunes: int
-    queue_depth: int
-    resident_kernels: int
-    warm_histogram: tuple[int, ...]
-    cold_histogram: tuple[int, ...]
-    tenants: dict = dataclasses.field(default_factory=dict)
+    shard_id: int = 0
+    pid: int = 0
 
 
 @dataclass(frozen=True)
@@ -512,57 +495,31 @@ def _stats_to_payload(message: StatsReply) -> dict:
         "request_id": message.request_id,
         "stats": dataclasses.asdict(message.stats),
     }
-    payload["stats"]["warm_histogram"] = list(message.stats.warm_histogram)
-    payload["stats"]["cold_histogram"] = list(message.stats.cold_histogram)
-    # Additive per-tenant breakdown: emitted only when non-empty, so the
-    # untenanted stats reply stays byte-identical to the pre-tenant wire.
-    payload["stats"].pop("tenants", None)
-    if message.stats.tenants:
-        payload["stats"]["tenants"] = {
-            tenant: dict(block) for tenant, block in message.stats.tenants.items()
-        }
     if message.spans:
         payload["spans"] = [dict(span) for span in message.spans]
     return payload
 
 
-def _decode_tenant_breakdown(value) -> dict:
-    """Tolerantly decode a stats reply's per-tenant breakdown.
-
-    Like spans, the breakdown is reporting freight: anything structurally
-    off — a non-dict, a tenant id that would not validate, a non-dict
-    block — is dropped rather than rejected, so a newer peer's schema can
-    never break the stats path.
-    """
-    if not isinstance(value, dict):
-        return {}
-    breakdown = {}
-    for tenant, block in value.items():
-        if not isinstance(tenant, str) or not isinstance(block, dict):
-            continue
-        try:
-            validate_tenant(tenant)
-        except ValueError:
-            continue
-        breakdown[tenant] = dict(block)
-    return breakdown
-
-
 def _stats_from_payload(payload: dict) -> StatsReply:
-    if not isinstance(payload, dict) or not isinstance(payload.get("stats"), dict):
+    stats = payload.get("stats") if isinstance(payload, dict) else None
+    if (
+        not isinstance(stats, dict)
+        or not _is_int(stats.get("shard_id"))
+        or not _is_int(stats.get("pid"))
+    ):
         raise ProtocolError(f"malformed stats payload: {payload!r}")
-    fields = dict(payload["stats"])
-    for name in ("warm_histogram", "cold_histogram"):
-        value = fields.get(name)
-        if not isinstance(value, (list, tuple)) or not all(
-            _is_int(count) and count >= 0 for count in value
-        ):
-            raise ProtocolError(f"malformed stats histogram {name!r}: {value!r}")
-        fields[name] = tuple(value)
-    fields["tenants"] = _decode_tenant_breakdown(fields.get("tenants"))
+    try:
+        samples = check_samples(stats.get("samples"))
+        for _, _, labels, _ in samples:
+            if "tenant" in labels:
+                validate_tenant(labels["tenant"])
+    except ValueError as error:
+        raise ProtocolError(f"malformed stats samples: {error}") from None
     return StatsReply(
         request_id=_request_id(payload),
-        stats=_rebuild(ShardStats, fields, "shard stats"),
+        stats=ShardStats(
+            samples=tuple(samples), shard_id=stats["shard_id"], pid=stats["pid"]
+        ),
         spans=_decode_spans(payload.get("spans")),
     )
 

@@ -58,7 +58,6 @@ from repro.tune.db import TuningDatabase
 # Imported as a module (not a package attribute) so this file is loadable at
 # any point of repro.serve's own package initialization.
 import repro.serve.protocol as protocol
-from repro.serve.metrics import latency_histogram
 from repro.serve.server import KernelServer, ServeRequest
 
 __all__ = ["ShardRouter", "run_shard", "serve_shard_tcp"]
@@ -195,30 +194,6 @@ def _open_replica(db_path) -> TuningDatabase:
         return TuningDatabase(db_path)
 
 
-def _shard_stats(shard_id: int, server: KernelServer) -> protocol.ShardStats:
-    """This shard's counters in the wire form (histograms, not samples)."""
-    snapshot = server.metrics_snapshot()
-    warm, cold = server.metrics.latency_samples()
-    return protocol.ShardStats(
-        shard_id=shard_id,
-        pid=os.getpid(),
-        requests=snapshot.requests,
-        warm_serves=snapshot.warm_serves,
-        cold_serves=snapshot.cold_serves,
-        dedup_hits=snapshot.dedup_hits,
-        errors=snapshot.errors,
-        tune_batches=snapshot.tune_batches,
-        batched_tunes=snapshot.batched_tunes,
-        queue_depth=snapshot.queue_depth,
-        resident_kernels=snapshot.resident_kernels,
-        warm_histogram=latency_histogram(warm),
-        cold_histogram=latency_histogram(cold),
-        # Additive: {} until a non-default tenant shows up, which keeps the
-        # untenanted stats reply byte-identical to the pre-tenant wire.
-        tenants=server.metrics.tenant_breakdown(),
-    )
-
-
 def _serve_connection(
     connection,
     shard_id: int,
@@ -350,7 +325,11 @@ def _serve_connection(
             reply(
                 protocol.StatsReply(
                     request_id=message.request_id,
-                    stats=_shard_stats(shard_id, server),
+                    stats=protocol.ShardStats(
+                        samples=server.metrics_snapshot().samples,
+                        shard_id=shard_id,
+                        pid=os.getpid(),
+                    ),
                     spans=spans,
                 )
             )
@@ -506,11 +485,10 @@ def serve_shard_tcp(
         # Imported lazily so the shard hot path never touches the HTTP
         # machinery unless the operator asked for a scrape surface.
         from repro.obs.http import MetricsEndpoint
-        from repro.obs.promtext import render_server_metrics
 
         metrics_endpoint = MetricsEndpoint(
             metrics_port,
-            lambda: render_server_metrics(server.metrics_snapshot()),
+            lambda: server.metrics_snapshot().render(),
             trace_fn=server.tracer.snapshot,
         ).start()
         _LOG.info(

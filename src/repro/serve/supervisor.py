@@ -44,9 +44,10 @@ unchanged):
   :func:`_restart_backoff`: the first attempt is immediate, later ones
   back off exponentially.
 * **Aggregation** — :meth:`ShardSupervisor.stats` asks every live shard for
-  its counters and fixed-bucket latency histograms over the wire and merges
-  them into one :class:`ClusterStats`: global warm/cold/dedup counts and
-  p50/p95 computed from the *summed* histograms, plus the per-shard rows.
+  its metrics registry samples over the wire and merges them with the
+  supervisor's own series (:func:`~repro.obs.registry.merge`) into one
+  :class:`ClusterStats`: global warm/cold/dedup counts, p50/p95 from the
+  *summed* histograms, and the per-shard rows.
 * **Reconciliation** — :meth:`ShardSupervisor.reconcile` (also run at
   :meth:`close`) folds every replica back into the primary database with
   :func:`~repro.tune.reconcile.reconcile_replicas`, so winners tuned by any
@@ -65,11 +66,12 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ProtocolError, ServingError
 from repro.obs import trace as tracing
+from repro.obs.registry import COUNTER, GAUGE, Registry, merge
 from repro.tenancy import DEFAULT_TENANT, TenantRegistry, validate_tenant
 from repro.tune.reconcile import (
     ReconcileReport,
@@ -81,9 +83,9 @@ from repro.tune.reconcile import (
 # Imported as a module (not a package attribute) so this file is loadable at
 # any point of repro.serve's own package initialization.
 import repro.serve.protocol as protocol
-from repro.serve.metrics import WireProfile, WireSnapshot, percentile_from_histogram
+from repro.serve.metrics import HELP, MetricsSnapshot, WireSnapshot
 from repro.serve.server import ServeRequest, ServeResult
-from repro.serve.shard import DEFAULT_VIRTUAL_NODES, ShardRouter, run_shard
+from repro.serve.shard import ShardRouter, run_shard
 
 __all__ = ["ClusterStats", "ShardSupervisor"]
 
@@ -145,68 +147,43 @@ def _spawn_context():
 
 
 @dataclass(frozen=True)
-class ClusterStats:
-    """Cross-shard aggregate counters plus the per-shard breakdown.
+class ClusterStats(MetricsSnapshot):
+    """The merge of every live shard's samples with the supervisor's series.
 
-    Counter fields are sums over shards; the percentiles are computed from
-    the element-wise sum of the shards' fixed-bucket latency histograms
+    Every counter view (``requests``, ``warm_serves``, ...) and percentile
+    reads the merged samples, so it is the sum over shards; the
+    percentiles come from the summed fixed-bucket histograms
     (bounded-error approximations — see
-    :func:`~repro.serve.metrics.percentile_from_histogram`).  ``wire`` is
-    the supervisor-side wire-path profile (encode/decode/route/flush time
-    and bytes — see :class:`~repro.serve.metrics.WireSnapshot`); ``None``
-    when the caller aggregated shard stats without a supervisor.
-    ``tenants`` is the cross-shard per-tenant rollup (counters and
-    percentiles summed/merged across shards, plus admission-control state
-    when a supervisor contributed its registry snapshot); empty for
-    untenanted clusters.
+    :func:`~repro.obs.registry.percentile_from_histogram`).  The
+    supervisor adds its wire-path series (:attr:`wire`) and its admission
+    series (``in_flight`` and ``quota_rejections_total`` per tenant, in
+    :attr:`tenants`).  ``shards`` holds each live shard's own
+    :class:`~repro.serve.protocol.ShardStats`.
     """
 
-    shards: tuple[protocol.ShardStats, ...]
-    requests: int
-    warm_serves: int
-    cold_serves: int
-    dedup_hits: int
-    errors: int
-    tune_batches: int
-    batched_tunes: int
-    queue_depth: int
-    resident_kernels: int
-    p50_latency_ms: float
-    p95_latency_ms: float
-    wire: WireSnapshot | None = None
-    tenants: dict = field(default_factory=dict)
+    shards: tuple[protocol.ShardStats, ...] = ()
 
     @property
-    def warm_rate(self) -> float:
-        """Fraction of served requests answered warm (0.0 when unused)."""
-        served = self.warm_serves + self.cold_serves
-        return self.warm_serves / served if served else 0.0
+    def wire(self) -> WireSnapshot:
+        """The supervisor-side wire-path profile."""
+        return WireSnapshot.from_samples(self.samples)
+
+    def exposition(self) -> list[list]:
+        """The cluster's ``/metrics`` samples, plus the per-shard breakdown."""
+        return super().exposition() + [
+            [GAUGE, "shards", {}, len(self.shards)],
+            *(
+                [COUNTER, "shard_requests_total", {"shard": str(shard.shard_id)}, shard.requests]
+                for shard in self.shards
+            ),
+        ]
+
+    def _headline(self) -> str:
+        return f"cluster       {len(self.shards)} shards, {self.requests} requests "
 
     def report(self) -> str:
-        """Human-readable multi-line summary (the shard-mode ``--stats``)."""
-        lines = [
-            f"cluster       {len(self.shards)} shards, {self.requests} requests "
-            f"(warm {self.warm_serves}, cold {self.cold_serves}, "
-            f"dedup {self.dedup_hits}, errors {self.errors})",
-            f"warm rate     {self.warm_rate * 100:.1f}%",
-            f"tuning        {self.batched_tunes} tunes in {self.tune_batches} batches",
-            f"queue depth   {self.queue_depth} in flight, "
-            f"{self.resident_kernels} resident kernels",
-            f"latency       p50 ≤{self.p50_latency_ms:.3f} ms, "
-            f"p95 ≤{self.p95_latency_ms:.3f} ms (merged histograms)",
-        ]
-        if self.wire is not None:
-            lines.append(self.wire.report())
-        for tenant, block in sorted(self.tenants.items()):
-            lines.append(
-                f"  tenant {tenant}: {block.get('requests', 0)} requests, "
-                f"warm {block.get('warm_serves', 0)}, "
-                f"cold {block.get('cold_serves', 0)}, "
-                f"errors {block.get('errors', 0)}, "
-                f"rejected {block.get('rejected', 0)}, "
-                f"p50 ≤{block.get('p50_latency_ms', 0.0):.3f} ms, "
-                f"p95 ≤{block.get('p95_latency_ms', 0.0):.3f} ms"
-            )
+        """The server report plus the wire profile and per-shard rows."""
+        lines = [super().report(), self.wire.report()]
         for stats in self.shards:
             lines.append(
                 f"  shard {stats.shard_id} (pid {stats.pid}): "
@@ -215,97 +192,6 @@ class ClusterStats:
                 f"{stats.resident_kernels} resident"
             )
         return "\n".join(lines)
-
-
-def _merge_histograms(into: list[int], counts) -> None:
-    """Element-wise add ``counts`` into ``into``, growing it as needed."""
-    if len(into) < len(counts):
-        into.extend([0] * (len(counts) - len(into)))
-    for index, count in enumerate(counts):
-        into[index] += count
-
-
-def _aggregate_tenants(
-    per_shard: tuple[protocol.ShardStats, ...],
-    admission: dict | None = None,
-) -> dict[str, dict]:
-    """Cross-shard per-tenant rollup: summed counters plus percentiles.
-
-    ``admission`` (a :meth:`~repro.tenancy.TenantRegistry.snapshot`) merges
-    the supervisor-side quota state — ``in_flight``/``rejected`` and any
-    configured limits — into the matching tenant's block.
-    """
-    rollup: dict[str, dict] = {}
-    histograms: dict[str, list[int]] = {}
-    for stats in per_shard:
-        for tenant, block in getattr(stats, "tenants", {}).items():
-            if not isinstance(block, dict):
-                continue
-            merged = rollup.setdefault(
-                tenant,
-                {
-                    "requests": 0,
-                    "warm_serves": 0,
-                    "cold_serves": 0,
-                    "dedup_hits": 0,
-                    "errors": 0,
-                },
-            )
-            for name in ("requests", "warm_serves", "cold_serves", "dedup_hits", "errors"):
-                value = block.get(name, 0)
-                if isinstance(value, int):
-                    merged[name] += value
-            buckets = histograms.setdefault(tenant, [])
-            for name in ("warm_histogram", "cold_histogram"):
-                counts = block.get(name, ())
-                if isinstance(counts, (list, tuple)) and all(
-                    isinstance(count, int) for count in counts
-                ):
-                    _merge_histograms(buckets, counts)
-    for tenant, merged in rollup.items():
-        buckets = tuple(histograms.get(tenant, ()))
-        served = merged["warm_serves"] + merged["cold_serves"]
-        merged["warm_ratio"] = merged["warm_serves"] / served if served else 0.0
-        merged["p50_latency_ms"] = percentile_from_histogram(buckets, 0.50)
-        merged["p95_latency_ms"] = percentile_from_histogram(buckets, 0.95)
-        merged["p99_latency_ms"] = percentile_from_histogram(buckets, 0.99)
-    if admission:
-        for tenant, state in admission.items():
-            block = rollup.setdefault(tenant, {})
-            block.update(state)
-    return rollup
-
-
-def aggregate_stats(
-    per_shard: tuple[protocol.ShardStats, ...],
-    wire: WireSnapshot | None = None,
-    admission: dict | None = None,
-) -> ClusterStats:
-    """Merge per-shard stats: sum counters, sum histograms, re-percentile."""
-    def total(name: str) -> int:
-        return sum(getattr(stats, name) for stats in per_shard)
-
-    combined: list[int] = []
-    for stats in per_shard:
-        for histogram in (stats.warm_histogram, stats.cold_histogram):
-            _merge_histograms(combined, histogram)
-    buckets = tuple(combined)
-    return ClusterStats(
-        shards=tuple(sorted(per_shard, key=lambda stats: stats.shard_id)),
-        requests=total("requests"),
-        warm_serves=total("warm_serves"),
-        cold_serves=total("cold_serves"),
-        dedup_hits=total("dedup_hits"),
-        errors=total("errors"),
-        tune_batches=total("tune_batches"),
-        batched_tunes=total("batched_tunes"),
-        queue_depth=total("queue_depth"),
-        resident_kernels=total("resident_kernels"),
-        p50_latency_ms=percentile_from_histogram(buckets, 0.50),
-        p95_latency_ms=percentile_from_histogram(buckets, 0.95),
-        wire=wire,
-        tenants=_aggregate_tenants(per_shard, admission),
-    )
 
 
 class _Link:
@@ -349,9 +235,8 @@ class _Link:
 class _ShardHandle:
     """One local shard process: its socketpair link, pending futures, reader."""
 
-    def __init__(self, shard_id: int, devices: tuple[str, ...]) -> None:
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self.devices = devices
         self.process = None
         self.links: list[_Link] = []
         # request_id -> (tenant, request, future, trace handle, deadline_ms);
@@ -424,11 +309,10 @@ class _RemoteShardHandle(_ShardHandle):
     def __init__(
         self,
         shard_id: int,
-        devices: tuple[str, ...],
         address: tuple[str, int],
         trusted: bool,
     ) -> None:
-        super().__init__(shard_id, devices)
+        super().__init__(shard_id)
         self.address = address
         self.trusted = trusted
         self.reader_done = True  # not yet connected
@@ -470,16 +354,13 @@ class ShardSupervisor:
             replica next to it (``None``: per-shard in-memory databases,
             nothing to reconcile).  Remote shards keep their databases on
             their own machines — reconciliation never assumes shared disk.
-        devices: the devices the cluster serves.  By default every shard
-            serves all of them (a kernel configuration is per-device state,
-            not a hardware handle); with ``partition_devices=True`` the
-            devices are split round-robin so each *local* shard owns a
-            disjoint subset, and routing only considers shards owning the
-            request's device.  Remote shards always serve all devices.
+        devices: the devices the cluster serves.  Every shard serves all
+            of them (a kernel configuration is per-device state, not a
+            hardware handle); a request for any other device is refused
+            with :class:`~repro.errors.ServingError` before it is routed.
         workers: worker threads per local shard.
         restart: respawn dead local shards and re-dial dead remote shards
             (on by default).
-        virtual_nodes: consistent-hash ring points per shard.
         connect: remote shard addresses (``"host:port"`` strings or
             ``(host, port)`` pairs), each a
             :func:`~repro.serve.shard.serve_shard_tcp` listener.  Remote
@@ -519,9 +400,7 @@ class ShardSupervisor:
         db: str | Path | None = None,
         devices: tuple[str, ...] = ("rtx4090",),
         workers: int = 4,
-        partition_devices: bool = False,
         restart: bool = True,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         connect: tuple = (),
         execute_remote: bool = False,
         connect_timeout: float = 10.0,
@@ -536,10 +415,6 @@ class ShardSupervisor:
             raise ServingError(f"shard count must be non-negative, got {shards}")
         if not devices:
             raise ServingError("a shard supervisor needs at least one device")
-        if partition_devices and len(devices) < shards:
-            raise ServingError(
-                f"cannot partition {len(devices)} device(s) across {shards} shards"
-            )
         if pool < 1:
             raise ServingError(f"connection pool size must be positive, got {pool}")
         self.devices = tuple(devices)
@@ -549,32 +424,27 @@ class ShardSupervisor:
         self._pool = pool
         self.tracer = tracer if tracer is not None else tracing.Tracer(sample_rate=0.0)
         self.tenants = TenantRegistry(tenants)
-        self._wire = WireProfile()
+        # The supervisor's own series, the wire profile (``wire_*``),
+        # merged into every stats() with the admission state.
+        self.metrics = Registry()
+        for name in HELP:
+            if name.startswith("wire_"):
+                self.metrics.declare(COUNTER, name)
         self._context = _spawn_context()
         self._closed = False
         self._lock = threading.RLock()
         self._request_ids = itertools.count(1)
         self._routed: dict[int, int] = {}  # shard_id -> requests routed there
-        shard_devices = {
-            shard_id: (
-                tuple(self.devices[shard_id::shards])
-                if partition_devices
-                else self.devices
-            )
-            for shard_id in range(shards)
-        }
         self._handles: dict[int, _ShardHandle] = {
-            shard_id: _ShardHandle(shard_id, owned)
-            for shard_id, owned in shard_devices.items()
+            shard_id: _ShardHandle(shard_id) for shard_id in range(shards)
         }
-        # Remote ring ids continue after the local ones; remote shards
-        # always serve the full device set (their hardware is their own).
+        # Remote ring ids continue after the local ones.
         for offset, address in enumerate(addresses):
             shard_id = shards + offset
             self._handles[shard_id] = _RemoteShardHandle(
-                shard_id, self.devices, address, trusted=execute_remote
+                shard_id, address, trusted=execute_remote
             )
-        self.router = ShardRouter(self._handles, virtual_nodes=virtual_nodes)
+        self.router = ShardRouter(self._handles)
         try:
             for handle in self._handles.values():
                 if isinstance(handle, _RemoteShardHandle):
@@ -605,7 +475,7 @@ class ShardSupervisor:
         parent, child = socket.socketpair()
         process = self._context.Process(
             target=run_shard,
-            args=(child, handle.shard_id, handle.devices),
+            args=(child, handle.shard_id, self.devices),
             kwargs={
                 "db_path": self.shard_replica_path(handle.shard_id),
                 "workers": self.workers,
@@ -664,7 +534,8 @@ class ShardSupervisor:
             except (OSError, ValueError):
                 self._poison(connection)
                 return
-            self._wire.record_flush(time.perf_counter() - started)
+            self.metrics.inc("wire_flushes_total")
+            self.metrics.inc("wire_flush_seconds_total", time.perf_counter() - started)
 
     # -- remote connections -------------------------------------------------
 
@@ -790,9 +661,10 @@ class ShardSupervisor:
             try:
                 decode_started = time.perf_counter()
                 message = protocol.decode_message(data, trusted=handle.trusted)
-                self._wire.record_receive(
-                    len(data), time.perf_counter() - decode_started
-                )
+                decode_s = time.perf_counter() - decode_started
+                self.metrics.inc("wire_messages_received_total")
+                self.metrics.inc("wire_bytes_received_total", len(data))
+                self.metrics.inc("wire_decode_seconds_total", decode_s)
             except ProtocolError:
                 # An undecodable reply means reply correlation on this link
                 # is lost (we cannot know whose answer this was).  Poison
@@ -815,7 +687,6 @@ class ShardSupervisor:
             if trace is not None:
                 # Wall start approximated from the measured duration: no
                 # extra clock read on the (dominant) untraced path.
-                decode_s = time.perf_counter() - decode_started
                 trace.record(
                     "wire.decode",
                     time.time() - decode_s,
@@ -1010,12 +881,13 @@ class ShardSupervisor:
         deadline_ms: float | None = None,
         tenant: str = DEFAULT_TENANT,
     ) -> None:
-        allowed_excluding = set(excluding)
-        for handle in self._handles.values():
-            if request.device not in handle.devices:
-                allowed_excluding.add(handle.shard_id)
+        if request.device not in self.devices:
+            raise ServingError(
+                f"device {request.device!r} is not served by this cluster "
+                f"(serving: {', '.join(self.devices)})"
+            )
         route_started = time.perf_counter()
-        shard_id = self.router.route(request, excluding=frozenset(allowed_excluding))
+        shard_id = self.router.route(request, excluding=excluding)
         route_s = time.perf_counter() - route_started
         handle = self._handles[shard_id]
         request_id = next(self._request_ids)
@@ -1060,7 +932,7 @@ class ShardSupervisor:
                     self._dispatch(
                         request,
                         future,
-                        excluding=frozenset(allowed_excluding | {shard_id}),
+                        excluding=frozenset(excluding) | {shard_id},
                         trace=trace,
                         deadline_ms=deadline_ms,
                         tenant=tenant,
@@ -1068,7 +940,10 @@ class ShardSupervisor:
                 except ServingError as error:
                     _resolve(future, error=error)
             return
-        self._wire.record_send(len(data), encode_s, route_s)
+        self.metrics.inc("wire_messages_sent_total")
+        self.metrics.inc("wire_bytes_sent_total", len(data))
+        self.metrics.inc("wire_encode_seconds_total", encode_s)
+        self.metrics.inc("wire_route_seconds_total", route_s)
         with self._lock:
             self._routed[shard_id] = self._routed.get(shard_id, 0) + 1
 
@@ -1215,14 +1090,25 @@ class ShardSupervisor:
         """Cross-shard aggregated metrics (see :class:`ClusterStats`)."""
         with self._lock:
             handles = [h for h in self._handles.values() if h.alive()]
-        replies = [
-            self._probe(handle, protocol.StatsCall, timeout) for handle in handles
-        ]
-        return aggregate_stats(
-            tuple(reply.stats for reply in replies),
-            wire=self._wire.snapshot(),
-            admission=self.tenants.snapshot(),
+        shards = tuple(
+            self._probe(handle, protocol.StatsCall, timeout).stats
+            for handle in sorted(handles, key=lambda one: one.shard_id)
         )
+        # The front door's admission state as of now, as series: the
+        # default tenant, every configured tenant, and every tenant with
+        # requests in flight or refused.
+        admission = Registry()
+        admission.declare(GAUGE, "in_flight", {"tenant": DEFAULT_TENANT})
+        admission.declare(COUNTER, "quota_rejections_total", {"tenant": DEFAULT_TENANT})
+        for tenant, state in self.tenants.snapshot().items():
+            admission.set("in_flight", state["in_flight"], {"tenant": tenant})
+            admission.inc("quota_rejections_total", state["rejected"], {"tenant": tenant})
+        samples = merge(
+            *(shard.samples for shard in shards),
+            self.metrics.samples(),
+            admission.samples(),
+        )
+        return ClusterStats(samples=tuple(samples), shards=shards)
 
     def warmup(
         self,
@@ -1297,7 +1183,7 @@ class ShardSupervisor:
 
     def wire_snapshot(self) -> WireSnapshot:
         """The supervisor-side wire-path profile without probing any shard."""
-        return self._wire.snapshot()
+        return WireSnapshot.from_samples(self.metrics.samples())
 
     def drain_spans(self, timeout: float = 10.0) -> tuple[tracing.Span, ...]:
         """Merge cluster-wide trace spans: this process plus every shard.

@@ -1,4 +1,4 @@
-"""Latency histogram percentiles: edge cases and a sampling property.
+"""Latency histogram percentiles, serve-tier recording, and the wire view.
 
 `percentile_from_histogram` is the supervisor's only view of cross-shard
 latency (raw samples never cross the wire), so its edge behaviour matters:
@@ -18,13 +18,48 @@ import threading
 
 import pytest
 
-from repro.serve.metrics import (
+from repro.obs.registry import (
     HISTOGRAM_BUCKET_BOUNDS_MS,
-    ServerMetrics,
-    WireProfile,
-    latency_histogram,
+    Registry,
+    merge,
     percentile_from_histogram,
 )
+from repro.serve.metrics import ServerMetrics, WireSnapshot
+
+
+def latency_histogram(samples_s) -> tuple[int, ...]:
+    """Bucket counts of latency samples (seconds) observed into a registry."""
+    registry = Registry()
+    registry.declare("histogram", "latency_ms")
+    for sample in samples_s:
+        registry.observe("latency_ms", sample * 1e3)
+    ((_, _, _, value),) = registry.samples()
+    return tuple(value["counts"])
+
+
+def record_send(registry, size, encode_s, route_s=0.0):
+    """The supervisor's series updates for one encoded request."""
+    registry.inc("wire_messages_sent_total")
+    registry.inc("wire_bytes_sent_total", size)
+    registry.inc("wire_encode_seconds_total", encode_s)
+    registry.inc("wire_route_seconds_total", route_s)
+
+
+def record_receive(registry, size, decode_s):
+    """The supervisor's series updates for one decoded reply."""
+    registry.inc("wire_messages_received_total")
+    registry.inc("wire_bytes_received_total", size)
+    registry.inc("wire_decode_seconds_total", decode_s)
+
+
+def record_flush(registry, elapsed_s):
+    """The supervisor's series updates for one transport flush."""
+    registry.inc("wire_flushes_total")
+    registry.inc("wire_flush_seconds_total", elapsed_s)
+
+
+def wire_snapshot(registry) -> WireSnapshot:
+    return WireSnapshot.from_samples(registry.samples())
 
 
 def bucket_upper_bound_ms(value_ms: float) -> float:
@@ -116,25 +151,27 @@ class TestSamplingProperty:
             assert exact_ms / 2.0 <= approx_ms <= exact_ms * 2.0
 
     def test_merged_histograms_match_pooled_samples(self):
-        # The supervisor's merge (element-wise sum) must equal bucketing
-        # the pooled samples directly.
+        # The supervisor's merge of per-shard registry samples must equal
+        # observing the pooled samples into one registry.
         rng = random.Random(7)
         shard_a = tuple(10 ** rng.uniform(-5.0, 0.5) for _ in range(200))
         shard_b = tuple(10 ** rng.uniform(-5.0, 0.5) for _ in range(300))
-        merged = tuple(
-            a + b
-            for a, b in zip(latency_histogram(shard_a), latency_histogram(shard_b))
-        )
-        pooled = latency_histogram(shard_a + shard_b)
-        assert merged == pooled
+        registries = [Registry(), Registry(), Registry()]
+        for registry, samples in zip(registries, (shard_a, shard_b, shard_a + shard_b)):
+            for sample in samples:
+                registry.observe("serve_latency_ms", sample * 1e3, {"class": "warm"})
+        ((_, _, _, merged),) = merge(registries[0].samples(), registries[1].samples())
+        ((_, _, _, pooled),) = registries[2].samples()
+        assert merged["counts"] == pooled["counts"]
+        assert merged["sum"] == pytest.approx(pooled["sum"])
         for q in (0.5, 0.95):
-            assert percentile_from_histogram(merged, q) == percentile_from_histogram(
-                pooled, q
-            )
+            assert percentile_from_histogram(
+                merged["counts"], q
+            ) == percentile_from_histogram(pooled["counts"], q)
 
 
 class TestWireSnapshotDelta:
-    """Snapshots are monotonic totals; ``delta`` isolates a polling window.
+    """Wire snapshots are monotonic totals; ``delta`` isolates a window.
 
     The regression this pins: a caller polling ``--stats`` repeatedly must
     not read the totals twice and report the first window's traffic again.
@@ -143,15 +180,15 @@ class TestWireSnapshotDelta:
     """
 
     def test_delta_isolates_the_window_between_snapshots(self):
-        profile = WireProfile()
-        profile.record_send(100, 0.001, route_s=0.0005)
-        profile.record_flush(0.0002)
-        before = profile.snapshot()
+        profile = Registry()
+        record_send(profile, 100, 0.001, route_s=0.0005)
+        record_flush(profile, 0.0002)
+        before = wire_snapshot(profile)
 
-        profile.record_send(40, 0.002, route_s=0.0001)
-        profile.record_receive(300, 0.003)
-        profile.record_flush(0.0004)
-        window = profile.snapshot().delta(before)
+        record_send(profile, 40, 0.002, route_s=0.0001)
+        record_receive(profile, 300, 0.003)
+        record_flush(profile, 0.0004)
+        window = wire_snapshot(profile).delta(before)
 
         assert window.messages_sent == 1
         assert window.messages_received == 1
@@ -164,30 +201,30 @@ class TestWireSnapshotDelta:
         assert window.flush_s == pytest.approx(0.0004)
 
     def test_idle_window_is_zero_for_every_field(self):
-        profile = WireProfile()
-        profile.record_send(100, 0.001)
-        profile.record_receive(50, 0.001)
-        snap = profile.snapshot()
+        profile = Registry()
+        record_send(profile, 100, 0.001)
+        record_receive(profile, 50, 0.001)
+        snap = wire_snapshot(profile)
         for field, value in dataclasses.asdict(snap.delta(snap)).items():
             assert value == 0, f"idle delta field {field} = {value}"
 
     def test_repeated_polls_double_count_without_delta(self):
         # The failure mode delta exists for: raw totals are cumulative.
-        profile = WireProfile()
-        profile.record_send(10, 0.0)
-        first = profile.snapshot()
-        profile.record_send(10, 0.0)
-        second = profile.snapshot()
+        profile = Registry()
+        record_send(profile, 10, 0.0)
+        first = wire_snapshot(profile)
+        record_send(profile, 10, 0.0)
+        second = wire_snapshot(profile)
         assert second.messages_sent == 2  # totals keep growing
         assert second.delta(first).messages_sent == 1  # the window does not
 
     def test_consecutive_windows_sum_to_the_totals(self):
-        profile = WireProfile()
-        snapshots = [profile.snapshot()]
+        profile = Registry()
+        snapshots = [wire_snapshot(profile)]
         for size in (10, 20, 30):
-            profile.record_send(size, 0.001)
-            profile.record_flush(0.0001)
-            snapshots.append(profile.snapshot())
+            record_send(profile, size, 0.001)
+            record_flush(profile, 0.0001)
+            snapshots.append(wire_snapshot(profile))
         windows = [
             later.delta(earlier)
             for earlier, later in zip(snapshots, snapshots[1:])
@@ -202,10 +239,9 @@ class TestWireSnapshotDelta:
 class TestConcurrentRecording:
     """N threads hammer one accumulator; every event must be conserved.
 
-    Counter updates in :class:`ServerMetrics` and :class:`WireProfile` are
-    multi-field (count + latency sample, bytes + seconds), so a lost update
-    or torn read under contention would show up as snapshots whose parts
-    disagree with the known totals.
+    A serve records a counter and a histogram observation, a wire send
+    four counters, so a lost update or torn read under contention would
+    show up as snapshots whose parts disagree with the known totals.
     """
 
     THREADS = 8
@@ -251,25 +287,25 @@ class TestConcurrentRecording:
         assert snap.warm_serves == total // 4
         assert snap.tune_batches == self.THREADS * (self.EVENTS_PER_THREAD // 50)
         assert snap.batched_tunes == 2 * snap.tune_batches
-        warm, cold = metrics.latency_samples()
-        assert len(warm) == min(snap.warm_serves, 4096)
-        assert len(cold) == min(snap.cold_serves, 4096)
+        # Histograms count every serve since start: no window drops any.
+        assert sum(snap.histogram(**{"class": "warm"})) == snap.warm_serves
+        assert sum(snap.histogram(**{"class": "cold"})) == snap.cold_serves
 
     def test_wire_profile_conserves_bytes_and_time(self):
-        profile = WireProfile()
+        profile = Registry()
 
         def worker(index: int) -> None:
             for event in range(self.EVENTS_PER_THREAD):
-                profile.record_send(10, 0.001, route_s=0.0005)
-                profile.record_receive(30, 0.002)
+                record_send(profile, 10, 0.001, route_s=0.0005)
+                record_receive(profile, 30, 0.002)
                 if event % 4 == 0:
-                    profile.record_flush(0.0001)
+                    record_flush(profile, 0.0001)
                 if event % 100 == 0:
-                    profile.snapshot()
+                    wire_snapshot(profile)
 
         self._hammer(worker)
         total = self.THREADS * self.EVENTS_PER_THREAD
-        snap = profile.snapshot()
+        snap = wire_snapshot(profile)
         assert snap.messages_sent == total
         assert snap.messages_received == total
         assert snap.bytes_sent == 10 * total

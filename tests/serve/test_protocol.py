@@ -21,7 +21,7 @@ import pytest
 
 from repro.errors import ProtocolError, ServingError, TuningError
 from repro.core.codegen.python_exec import CompiledKernel
-from repro.serve import KernelServer, ServeRequest
+from repro.serve import KernelServer, ServeRequest, ServerMetrics
 from repro.serve import protocol
 
 BITS = 128
@@ -33,6 +33,19 @@ def served():
     """One cold-served result (executable artifact + tuning provenance)."""
     with KernelServer(devices=("rtx4090",)) as server:
         yield server.serve(ServeRequest(kind="ntt", bits=BITS, size=SIZE))
+
+
+def shard_stats(shard_id=1, pid=1234, tenant="default") -> protocol.ShardStats:
+    """A shard's stats over a few recorded outcomes of one tenant."""
+    metrics = ServerMetrics()
+    for latency in (0.001, 0.003):
+        metrics.record_request(tenant)
+        metrics.record_warm(latency, tenant)
+    metrics.record_request(tenant)
+    metrics.record_cold(0.2, tenant)
+    metrics.record_tune_batch(1)
+    samples = metrics.snapshot(queue_depth=0, resident_kernels=1).samples
+    return protocol.ShardStats(samples=samples, shard_id=shard_id, pid=pid)
 
 
 def round_trip(message, trusted=False):
@@ -153,37 +166,23 @@ class TestMessageRoundTrips:
         assert "TypeError" in str(error)
 
     def test_stats_round_trip(self):
-        stats = protocol.ShardStats(
-            shard_id=1,
-            pid=1234,
-            requests=10,
-            warm_serves=6,
-            cold_serves=3,
-            dedup_hits=1,
-            errors=0,
-            tune_batches=2,
-            batched_tunes=3,
-            queue_depth=0,
-            resident_kernels=3,
-            warm_histogram=(0, 4, 2, 0),
-            cold_histogram=(0, 0, 1, 2),
-        )
-        message = protocol.StatsReply(request_id=11, stats=stats)
-        assert round_trip(message) == message
+        message = protocol.StatsReply(request_id=11, stats=shard_stats())
+        decoded = round_trip(message)
+        assert decoded == message
+        assert (decoded.stats.requests, decoded.stats.warm_serves) == (3, 2)
+        assert decoded.stats.resident_kernels == 1
 
     @pytest.mark.parametrize("bad", [True, -1, 1.5, "2"])
     def test_stats_histogram_counts_must_be_non_negative_integers(self, bad):
         # A bool or a negative count would corrupt the merged p50/p95.
-        stats = protocol.ShardStats(
-            shard_id=1, pid=1234, requests=1, warm_serves=1, cold_serves=0,
-            dedup_hits=0, errors=0, tune_batches=0, batched_tunes=0,
-            queue_depth=0, resident_kernels=1,
-            warm_histogram=(0, 1), cold_histogram=(0, 0),
-        )
         head, tail = split(
-            protocol.encode_message(protocol.StatsReply(request_id=1, stats=stats))
+            protocol.encode_message(
+                protocol.StatsReply(request_id=1, stats=shard_stats())
+            )
         )
-        head["payload"]["stats"]["warm_histogram"] = [0, bad]
+        for kind, _, _, value in head["payload"]["stats"]["samples"]:
+            if kind == "histogram":
+                value["counts"][1] = bad
         with pytest.raises(ProtocolError, match="histogram"):
             protocol.decode_message(rebuild(head, tail))
 

@@ -20,7 +20,14 @@ from repro.core.codegen.python_exec import CompiledKernel
 from repro.errors import ProtocolError
 from repro.serve import KernelServer, ServeRequest
 from repro.serve import protocol
-from tests.serve.test_protocol import feed_raw, rebuild, split, stream_pair, tamper
+from tests.serve.test_protocol import (
+    feed_raw,
+    rebuild,
+    shard_stats,
+    split,
+    stream_pair,
+    tamper,
+)
 
 BITS = 128
 SIZE = 16
@@ -45,6 +52,34 @@ def source_result(served):
 
 def round_trip(message, trusted=False):
     return protocol.decode_message(protocol.encode_message(message), trusted=trusted)
+
+
+#: Stats replies a decode must refuse: a change to the stats payload.
+MALFORMED_STATS = {
+    "samples absent": lambda stats: {k: v for k, v in stats.items() if k != "samples"},
+    "samples not a list": lambda stats: {**stats, "samples": {"a": 1}},
+    "short sample": lambda stats: {**stats, "samples": [stats["samples"][0][:3]]},
+    "unknown kind": lambda stats: {**stats, "samples": [["summary", "x", {}, 1]]},
+    "empty name": lambda stats: {**stats, "samples": [["counter", "", {}, 1]]},
+    "non-string label": lambda stats: {
+        **stats, "samples": [["counter", "x", {"shard": 7}, 1]]
+    },
+    "invalid tenant label": lambda stats: {
+        **stats, "samples": [["counter", "requests_total", {"tenant": "a::b"}, 1]]
+    },
+    "negative counter": lambda stats: {**stats, "samples": [["counter", "x", {}, -1]]},
+    "boolean gauge": lambda stats: {**stats, "samples": [["gauge", "x", {}, True]]},
+    "histogram of the wrong width": lambda stats: {
+        **stats, "samples": [["histogram", "x", {}, {"counts": [1, 2], "sum": 3.0}]]
+    },
+    "histogram without a sum": lambda stats: {
+        **stats, "samples": [["histogram", "x", {}, {"counts": [0] * 26}]]
+    },
+    "duplicate series": lambda stats: {
+        **stats, "samples": stats["samples"] + stats["samples"][:1]
+    },
+    "shard id not an integer": lambda stats: {**stats, "shard_id": "0"},
+}
 
 
 #: Kernel artifacts a trusted decode must refuse: (source, or ``None`` for
@@ -207,7 +242,7 @@ class TestV2Fuzz:
 
     def test_wrong_envelope_version_inside_container_rejected(self, source_result):
         # Retired version numbers, written into a well-formed container.
-        for version in (1, 2):
+        for version in (1, 2, 3):
             with pytest.raises(ProtocolError, match="unsupported protocol version"):
                 self.feed(tamper(self.blob(source_result), **{"moma-serve": version}))
 
@@ -225,6 +260,18 @@ class TestV2Fuzz:
         assert self.feed(data).result.artifact == artifact
         with pytest.raises(ProtocolError, match="does not rebuild"):
             self.feed(data, trusted=True)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STATS))
+    def test_malformed_stats_samples_rejected(self, case):
+        head, tail = split(
+            protocol.encode_message(
+                protocol.StatsReply(request_id=4, stats=shard_stats())
+            )
+        )
+        assert self.feed(rebuild(head, tail)).stats == shard_stats()
+        head["payload"]["stats"] = MALFORMED_STATS[case](head["payload"]["stats"])
+        with pytest.raises(ProtocolError, match="malformed stats"):
+            self.feed(rebuild(head, tail))
 
     def test_bad_frame_reference_rejected(self, source_result):
         # The payload references frame 0; an envelope declaring no frames

@@ -98,6 +98,14 @@ class TestRoutedServing:
         for request in FAMILY_MIX[:3]:
             assert supervisor.serve(request).warm
 
+    def test_unserved_device_is_refused_before_routing(self, cluster):
+        supervisor, _, _ = cluster
+        routed = supervisor.routed_counts()
+        request = ServeRequest(kind="ntt", bits=128, size=SIZE, device="h100")
+        with pytest.raises(ServingError, match="not served"):
+            supervisor.submit(request)
+        assert supervisor.routed_counts() == routed
+
     def test_routing_is_sticky(self, cluster):
         # The same family must keep hitting the same shard (that is what
         # makes its resident table worth anything).
@@ -211,8 +219,6 @@ class TestLifecycle:
             ShardSupervisor(shards=0)
         with pytest.raises(ServingError, match="device"):
             ShardSupervisor(shards=1, devices=())
-        with pytest.raises(ServingError, match="partition"):
-            ShardSupervisor(shards=2, devices=("rtx4090",), partition_devices=True)
 
 
 class TestRobustness:

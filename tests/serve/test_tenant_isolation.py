@@ -18,7 +18,7 @@ from repro.serve import protocol
 from repro.serve.server import serve_key
 from repro.tenancy import DEFAULT_TENANT, TenantConfig
 
-from tests.serve.test_protocol import rebuild, split, tamper_payload
+from tests.serve.test_protocol import shard_stats, split, tamper_payload
 
 BAD_TENANTS = ["", "a::b", "a/b", "a b"]
 
@@ -95,34 +95,17 @@ class TestWireTenantField:
         )
         assert reply.report == {"kind": "invalidation"}
 
-    def test_stats_tenant_breakdown_round_trips_and_degrades(self):
-        block = {
-            "requests": 2,
-            "warm_serves": 1,
-            "cold_serves": 1,
-            "dedup_hits": 0,
-            "errors": 0,
-            "warm_histogram": [0] * 4,
-            "cold_histogram": [0] * 4,
-        }
-        stats = protocol.ShardStats(
-            shard_id=0, pid=1, requests=2, warm_serves=1, cold_serves=1,
-            dedup_hits=0, errors=0, tune_batches=1, batched_tunes=1,
-            queue_depth=0, resident_kernels=1,
-            warm_histogram=(0,) * 4, cold_histogram=(0,) * 4,
-            tenants={"acme": block},
-        )
+    def test_stats_tenant_series_round_trip(self):
+        # Per-tenant counts cross the wire as tenant-labelled series; the
+        # decode validates every tenant label strictly (see the stats cases
+        # of TestV2Fuzz for what it refuses).
+        stats = shard_stats(tenant="acme")
         reply = round_trip(protocol.StatsReply(request_id=1, stats=stats))
-        assert "acme" in reply.stats.tenants
-        # A malformed breakdown entry is dropped tolerantly, not fatal:
-        # the stats path must survive a newer peer's schema.
-        head, tail = split(
-            protocol.encode_message(protocol.StatsReply(request_id=1, stats=stats))
-        )
-        head["payload"]["stats"]["tenants"]["bad::id"] = block
-        head["payload"]["stats"]["tenants"]["acme"] = "not a dict"
-        decoded = protocol.decode_message(rebuild(head, tail))
-        assert decoded.stats.tenants == {}
+        assert reply.stats == stats
+        assert set(reply.stats.tenants) == {"acme", DEFAULT_TENANT}
+        acme = reply.stats.tenants["acme"]
+        assert (acme["requests"], acme["warm_serves"], acme["cold_serves"]) == (3, 2, 1)
+        assert reply.stats.tenants[DEFAULT_TENANT]["requests"] == 0
 
     def test_quota_error_survives_the_wire(self):
         reply = round_trip(

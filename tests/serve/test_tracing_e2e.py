@@ -165,21 +165,7 @@ class TestAdditiveProtocolField:
     def test_stats_reply_spans_ride_only_when_present(self):
         import dataclasses
 
-        stats = protocol.ShardStats(
-            shard_id=0,
-            pid=1,
-            requests=1,
-            warm_serves=0,
-            cold_serves=1,
-            dedup_hits=0,
-            errors=0,
-            tune_batches=0,
-            batched_tunes=0,
-            queue_depth=0,
-            resident_kernels=1,
-            warm_histogram=(0,) * 26,
-            cold_histogram=(0,) * 26,
-        )
+        stats = protocol.ShardStats(samples=(), shard_id=0, pid=1)
         empty = protocol.StatsReply(request_id=1, stats=stats)
         assert b'"spans"' not in protocol.encode_message(empty)
         assert protocol.decode_message(protocol.encode_message(empty)).spans == ()
