@@ -109,8 +109,8 @@ class TestRender:
 def random_events(rng: random.Random, count: int, shard: int = 0):
     """Seeded counter, gauge and histogram events over a few label sets.
 
-    Gauges are set, so each shard's carry its ``shard`` label: a merge
-    sums gauges, which equals one registry only for distinct series.
+    Each shard's gauges carry its ``shard`` label: a merge sums gauges,
+    which equals setting them in one registry only for distinct series.
     """
     events = []
     for _ in range(count):

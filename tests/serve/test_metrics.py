@@ -27,7 +27,7 @@ from repro.obs.registry import (
 from repro.serve.metrics import ServerMetrics, WireSnapshot
 
 
-def latency_histogram(samples_s) -> tuple[int, ...]:
+def bucket_counts(samples_s) -> tuple[int, ...]:
     """Bucket counts of latency samples (seconds) observed into a registry."""
     registry = Registry()
     registry.declare("histogram", "latency_ms")
@@ -110,7 +110,7 @@ class TestEdgeCases:
             percentile_from_histogram((1, 2, 3), q)
 
     def test_single_sample_every_quantile(self):
-        counts = latency_histogram((0.004,))  # 4 ms
+        counts = bucket_counts((0.004,))  # 4 ms
         for q in (0.0, 0.5, 0.95, 1.0):
             assert percentile_from_histogram(counts, q) == bucket_upper_bound_ms(4.0)
 
@@ -124,7 +124,7 @@ class TestSamplingProperty:
         rng = random.Random(seed)
         # Log-uniform latencies from ~2 µs to ~8 s: spans most buckets.
         samples = tuple(10 ** rng.uniform(-5.7, 0.9) for _ in range(500))
-        counts = latency_histogram(samples)
+        counts = bucket_counts(samples)
 
         approx_ms = percentile_from_histogram(counts, q)
         # Nearest-rank exact quantile over the same samples (in ms).
@@ -142,7 +142,7 @@ class TestSamplingProperty:
         # only the bucket-resolution bracket is required to hold.
         rng = random.Random(seed)
         samples = tuple(10 ** rng.uniform(-4.0, 0.0) for _ in range(1000))
-        counts = latency_histogram(samples)
+        counts = bucket_counts(samples)
         cuts = statistics.quantiles(samples, n=100, method="inclusive")
         for q, exact_s in ((0.50, cuts[49]), (0.95, cuts[94])):
             approx_ms = percentile_from_histogram(counts, q)
