@@ -9,8 +9,12 @@ also convenient for eyeballing the generated code next to Listings 1-4.
 from __future__ import annotations
 
 from repro.core.ir.kernel import Kernel
-from repro.core.codegen.common import CTypes, StatementTranslator, check_legal, collect_locals
-from repro.core.codegen.cuda import _interface_layout
+from repro.core.codegen.common import (
+    CTypes,
+    check_legal,
+    generate_scalar_function,
+    interface_layout,
+)
 
 __all__ = ["generate_c99"]
 
@@ -24,33 +28,9 @@ _HEADER = """\
 """
 
 
-def generate_scalar_function(kernel: Kernel, types: CTypes) -> str:
-    """A C function with pointer outputs and flattened limb parameters."""
-    translator = StatementTranslator(types)
-    _, output_layout = _interface_layout(kernel)
-    output_limbs = {limb for _, limbs in output_layout for limb in limbs}
-
-    arguments = [f"{types.word} *{limb}" for _, limbs in output_layout for limb in limbs]
-    arguments += [f"{types.word} {param.name}" for param in kernel.params]
-    lines = [f"void {kernel.name}(" + ", ".join(arguments) + ") {"]
-    for local in collect_locals(kernel):
-        lines.append(f"    {types.declared(local.bits)} {local.name};")
-    for statement in kernel.body:
-        for c_line in translator.translate(statement):
-            stripped = c_line.lstrip()
-            for limb in output_limbs:
-                prefix = f"{limb} ="
-                if stripped.startswith(prefix):
-                    c_line = f"*{limb} =" + stripped[len(prefix):]
-                    break
-            lines.append(f"    {c_line}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def generate_batch_function(kernel: Kernel, types: CTypes) -> str:
     """A batch driver looping the scalar routine over limb-major arrays."""
-    param_layout, output_layout = _interface_layout(kernel)
+    param_layout, output_layout = interface_layout(kernel)
     uniform = set(kernel.metadata.get("uniform_params", ()))
 
     arguments = []
@@ -92,7 +72,7 @@ def generate_c99(kernel: Kernel, include_batch: bool = True) -> str:
         word=word_bits,
         algorithm=kernel.metadata.get("multiplication", "schoolbook"),
     )
-    sections = [header, generate_scalar_function(kernel, types)]
+    sections = [header, generate_scalar_function(kernel, types, f"void {kernel.name}")]
     if include_batch:
         sections.extend(["", generate_batch_function(kernel, types)])
     return "\n".join(sections) + "\n"

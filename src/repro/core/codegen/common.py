@@ -4,7 +4,10 @@ The backends translate machine-legal statements (see
 :func:`repro.core.rewrite.legalize.is_machine_legal`) into the exact idioms
 of the paper's listings: single words are ``uint64_t``, the compiler-provided
 double-word storage type is ``unsigned __int128`` (Listing 1's ``i128``), and
-every IR statement becomes one or a handful of C statements.
+every IR statement becomes one or a handful of C statements.  Both C targets
+emit the same scalar routine (:func:`generate_scalar_function`); only its
+declaration differs.  :func:`check_legal` guards every backend, the Python
+one included.
 """
 
 from __future__ import annotations
@@ -13,11 +16,18 @@ from dataclasses import dataclass
 
 from repro.errors import CodegenError
 from repro.core.ir.kernel import Kernel
-from repro.core.ir.ops import OpKind, Statement
+from repro.core.ir.ops import Statement
 from repro.core.ir.values import Const, Group, Var
 from repro.core.rewrite.legalize import is_machine_legal
 
-__all__ = ["CTypes", "StatementTranslator", "check_legal", "collect_locals"]
+__all__ = [
+    "CTypes",
+    "StatementTranslator",
+    "check_legal",
+    "collect_locals",
+    "generate_scalar_function",
+    "interface_layout",
+]
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,54 @@ def check_legal(kernel: Kernel, word_bits: int) -> None:
                 f"kernel {kernel.name!r} is not legalized for {word_bits}-bit words; "
                 f"offending statement: {statement}"
             )
+
+
+def interface_layout(kernel: Kernel) -> tuple[list[tuple[str, list[str]]], list[tuple[str, list[str]]]]:
+    """Original-parameter and output layouts (name -> machine-word limb names).
+
+    Pruned (always-zero) limbs appear as ``None`` in the stored layout and are
+    skipped here — they simply never reach the signature.
+    """
+    metadata = kernel.metadata
+    if "param_layout" not in metadata or "output_layout" not in metadata:
+        raise CodegenError(
+            f"kernel {kernel.name!r} lacks interface layout metadata; legalize it first"
+        )
+    params = [
+        (name, [limb for limb in limbs if limb is not None])
+        for name, limbs in metadata["param_layout"].items()
+    ]
+    outputs = [
+        (name, [limb for limb in limbs if limb is not None])
+        for name, limbs in metadata["output_layout"].items()
+    ]
+    return params, outputs
+
+
+def generate_scalar_function(kernel: Kernel, types: CTypes, declaration: str) -> str:
+    """The scalar routine: pointer outputs, flattened limb parameters.
+
+    ``declaration`` is everything before the parameter list, e.g.
+    ``"void name"``.  Output limbs are never read before being written (SSA,
+    and outputs are mov destinations), so only an assignment to one becomes
+    a store through its out-pointer.
+    """
+    translate = StatementTranslator(types).translate
+    _, output_layout = interface_layout(kernel)
+    output_limbs = {limb for _, limbs in output_layout for limb in limbs}
+
+    arguments = [f"{types.word} *{limb}" for _, limbs in output_layout for limb in limbs]
+    arguments += [f"{types.word} {param.name}" for param in kernel.params]
+    lines = [f"{declaration}(" + ", ".join(arguments) + ") {"]
+    for local in collect_locals(kernel):
+        lines.append(f"    {types.declared(local.bits)} {local.name};")
+    for statement in kernel.body:
+        for c_line in translate(statement):
+            if c_line.partition(" =")[0] in output_limbs:
+                c_line = "*" + c_line
+            lines.append(f"    {c_line}")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def collect_locals(kernel: Kernel) -> list[Var]:

@@ -15,12 +15,15 @@ Python backend instead (see DESIGN.md's hardware-substitution note).
 
 from __future__ import annotations
 
-from repro.errors import CodegenError
 from repro.core.ir.kernel import Kernel
-from repro.core.ir.values import Var
-from repro.core.codegen.common import CTypes, StatementTranslator, check_legal, collect_locals
+from repro.core.codegen.common import (
+    CTypes,
+    check_legal,
+    generate_scalar_function,
+    interface_layout,
+)
 
-__all__ = ["generate_cuda", "generate_device_function", "generate_global_kernel"]
+__all__ = ["generate_cuda", "generate_global_kernel"]
 
 _HEADER = """\
 // Auto-generated by repro (MoMA rewrite system) - do not edit.
@@ -34,67 +37,13 @@ typedef {double_type} dw{word};
 """
 
 
-def _interface_layout(kernel: Kernel) -> tuple[list[tuple[str, list[str]]], list[tuple[str, list[str]]]]:
-    """Original-parameter and output layouts (name -> machine-word limb names).
-
-    Pruned (always-zero) limbs appear as ``None`` in the stored layout and are
-    skipped here — they simply never reach the signature.
-    """
-    metadata = kernel.metadata
-    if "param_layout" not in metadata or "output_layout" not in metadata:
-        raise CodegenError(
-            f"kernel {kernel.name!r} lacks interface layout metadata; legalize it first"
-        )
-    params = [
-        (name, [limb for limb in limbs if limb is not None])
-        for name, limbs in metadata["param_layout"].items()
-    ]
-    outputs = [
-        (name, [limb for limb in limbs if limb is not None])
-        for name, limbs in metadata["output_layout"].items()
-    ]
-    return params, outputs
-
-
-def generate_device_function(kernel: Kernel, types: CTypes) -> str:
-    """The ``__device__`` scalar routine with a flattened limb signature."""
-    translator = StatementTranslator(types)
-    _, output_layout = _interface_layout(kernel)
-    output_limbs = {limb for _, limbs in output_layout for limb in limbs}
-
-    arguments = [f"{types.word} *{limb}" for _, limbs in output_layout for limb in limbs]
-    arguments += [f"{types.word} {param.name}" for param in kernel.params]
-
-    lines = [f"__device__ __forceinline__ void {kernel.name}_scalar(" + ", ".join(arguments) + ") {"]
-    for local in collect_locals(kernel):
-        lines.append(f"    {types.declared(local.bits)} {local.name};")
-    for statement in kernel.body:
-        for c_line in translator.translate(statement):
-            c_line = _redirect_outputs(c_line, output_limbs)
-            lines.append(f"    {c_line}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _redirect_outputs(c_line: str, output_limbs: set[str]) -> str:
-    """Turn assignments to output limbs into stores through the out-pointers."""
-    stripped = c_line.lstrip()
-    for limb in output_limbs:
-        prefix = f"{limb} ="
-        if stripped.startswith(prefix):
-            return f"*{limb} =" + stripped[len(prefix):]
-        # Output limbs are never read before being written (SSA + outputs are
-        # mov destinations), so only the assignment form needs rewriting.
-    return c_line
-
-
 def generate_global_kernel(kernel: Kernel, types: CTypes) -> str:
     """The ``__global__`` element-wise kernel (one thread per element).
 
     Each thread loads its element's limbs and calls the ``__forceinline__``
     scalar routine, which stores the results straight into the output arrays.
     """
-    param_layout, output_layout = _interface_layout(kernel)
+    param_layout, output_layout = interface_layout(kernel)
     uniform = set(kernel.metadata.get("uniform_params", ()))
 
     arguments = []
@@ -133,7 +82,7 @@ def generate_global_kernel(kernel: Kernel, types: CTypes) -> str:
 
 def generate_launcher(kernel: Kernel, types: CTypes) -> str:
     """A host-side launch helper with the 1,024-thread blocks of Section 5.1."""
-    param_layout, output_layout = _interface_layout(kernel)
+    param_layout, output_layout = interface_layout(kernel)
     uniform = set(kernel.metadata.get("uniform_params", ()))
     arguments = []
     call_arguments = []
@@ -173,7 +122,10 @@ def generate_cuda(kernel: Kernel, include_launcher: bool = True) -> str:
         double_type=types.double,
         algorithm=kernel.metadata.get("multiplication", "schoolbook"),
     )
-    sections = [header, generate_device_function(kernel, types), "", generate_global_kernel(kernel, types)]
+    scalar = generate_scalar_function(
+        kernel, types, f"__device__ __forceinline__ void {kernel.name}_scalar"
+    )
+    sections = [header, scalar, "", generate_global_kernel(kernel, types)]
     if include_launcher:
         sections.extend(["", generate_launcher(kernel, types)])
     return "\n".join(sections) + "\n"

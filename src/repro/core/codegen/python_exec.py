@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CodegenError
+from repro.core.codegen.common import check_legal
 from repro.core.ir.kernel import Kernel
 from repro.core.ir.ops import OpKind, Statement
 from repro.core.ir.values import Const, Group
-from repro.core.rewrite.legalize import is_machine_legal
 
 __all__ = ["INTERFACE_KEYS", "CompiledKernel", "compile_kernel", "generate_python_source"]
 
@@ -114,12 +114,7 @@ def _translate(statement: Statement, word_bits: int) -> list[str]:
 def generate_python_source(kernel: Kernel, function_name: str | None = None) -> str:
     """Generate the Python source of the kernel as a flat limb-level function."""
     word_bits = kernel.metadata.get("word_bits", 64)
-    for statement in kernel.body:
-        if not is_machine_legal(statement, word_bits):
-            raise CodegenError(
-                f"kernel {kernel.name!r} must be legalized before Python compilation; "
-                f"offending statement: {statement}"
-            )
+    check_legal(kernel, word_bits)
     function_name = function_name or kernel.name
     parameters = ", ".join(param.name for param in kernel.params)
     lines = [f"def {function_name}({parameters}):"]

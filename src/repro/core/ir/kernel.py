@@ -89,25 +89,7 @@ class Kernel:
                 defined[dest.name] = dest
         return defined
 
-    def max_part_bits(self) -> int:
-        """Widest variable/constant part appearing anywhere in the kernel."""
-        widths = [param.bits for param in self.params]
-        widths.extend(statement.max_part_bits for statement in self.body)
-        return max(widths) if widths else 0
-
     def statement_count(self) -> int:
         """Number of statements in the body."""
         return len(self.body)
 
-    def copy(self) -> "Kernel":
-        """Shallow-ish copy: new lists, shared (immutable) statements' values."""
-        return Kernel(
-            name=self.name,
-            params=list(self.params),
-            outputs=list(self.outputs),
-            body=[
-                Statement(stmt.op, stmt.dests, tuple(stmt.operands), dict(stmt.attrs))
-                for stmt in self.body
-            ],
-            metadata=dict(self.metadata),
-        )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum, unique
 
 from repro.errors import IRError
-from repro.core.ir.values import Const, Group, Var
+from repro.core.ir.values import Group, Var
 
 __all__ = ["OpKind", "Statement"]
 
@@ -157,9 +157,3 @@ class Statement:
             used.extend(operand.variables())
         return tuple(used)
 
-    def used_consts(self) -> tuple[Const, ...]:
-        """Constants read by this statement, in operand order."""
-        consts: list[Const] = []
-        for operand in self.operands:
-            consts.extend(part for part in operand if isinstance(part, Const))
-        return tuple(consts)

@@ -2,9 +2,11 @@
 
 The standard pipeline is what the SPIRAL backend does after the MoMA rewrite
 pass: fold the constants introduced by zero-limb pruning, remove duplicate
-comparisons, forward copies, and delete dead code.  Kernels are
-straight-line SSA, so one forward value-numbering sweep does the first three
-and one backward sweep the last; nothing is left for a second round.
+comparisons, forward copies, and delete dead code.  The legalizer already
+does the first three as it builds each statement (value numbering, see
+:mod:`repro.core.passes.value_number`), so the default pipeline is one
+backward dead-code sweep.  :func:`~repro.core.passes.value_number.value_number`
+stays available as a pass for kernels built some other way.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from collections.abc import Callable, Sequence
 
 from repro.core.ir.kernel import Kernel
 from repro.core.passes.dce import eliminate_dead_code
-from repro.core.passes.value_number import value_number
 
 __all__ = ["optimize", "DEFAULT_PIPELINE", "PassObserver"]
 
@@ -26,7 +27,7 @@ Pass = Callable[[Kernel], Kernel]
 PassObserver = Callable[[str, int, float, int, int], None]
 
 #: The default pass order.
-DEFAULT_PIPELINE: tuple[Pass, ...] = (value_number, eliminate_dead_code)
+DEFAULT_PIPELINE: tuple[Pass, ...] = (eliminate_dead_code,)
 
 
 def optimize(

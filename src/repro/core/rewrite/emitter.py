@@ -3,18 +3,23 @@
 Rules produce sequences of statements; :class:`Emitter` collects them and
 provides small helpers (fresh flags, carry-chain addition, borrow-chain
 subtraction) so that the rule implementations read like the right-hand
-sides of Table 1.
+sides of Table 1.  A collected statement is a :data:`Piece`, its fields not
+yet built into a :class:`~repro.core.ir.ops.Statement`: the legalizer builds
+one only for a piece it keeps or rewrites further.
 """
 
 from __future__ import annotations
 
 from repro.errors import RewriteError
-from repro.core.ir.ops import OpKind, Statement
+from repro.core.ir.ops import OpKind
 from repro.core.ir.types import FLAG, IntType
 from repro.core.ir.values import Const, Group, Var, as_group
 from repro.core.rewrite.splitting import SplitContext
 
-__all__ = ["Emitter"]
+__all__ = ["Emitter", "Piece"]
+
+#: One rewritten statement, ``(op, dests, operands, attrs)``.
+Piece = tuple[OpKind, Group, tuple[Group, ...], dict]
 
 
 def _is_zero(part) -> bool:
@@ -26,7 +31,7 @@ class Emitter:
 
     def __init__(self, context: SplitContext) -> None:
         self._context = context
-        self.statements: list[Statement] = []
+        self.pieces: list[Piece] = []
 
     # ------------------------------------------------------------------
     # Raw emission helpers.
@@ -40,11 +45,9 @@ class Emitter:
         """Fresh 1-bit flag variable."""
         return Var(self._context.names.fresh(hint), FLAG)
 
-    def emit(self, op: OpKind, dests, operands, **attrs) -> Statement:
-        """Append a statement and return it."""
-        statement = Statement(op, as_group(dests), tuple(as_group(o) for o in operands), dict(attrs))
-        self.statements.append(statement)
-        return statement
+    def emit(self, op: OpKind, dests, operands, **attrs) -> None:
+        """Append the statement ``dests = op(operands)``."""
+        self.pieces.append((op, as_group(dests), tuple(as_group(o) for o in operands), attrs))
 
     def mov(self, dest, source) -> None:
         """dest = source."""

@@ -24,14 +24,10 @@ class RewriteOptions:
             recursion level — ``"schoolbook"`` (Equation 8 / rule 28) or
             ``"karatsuba"`` (Equation 9).  Individual ``mulmod`` statements
             can override this via their ``algorithm`` attribute.
-        max_iterations: safety limit on legalization sweeps; a correct rule
-            set never needs more than ``log2(input_bits) + 2`` sweeps, so
-            hitting the limit indicates a non-terminating rule.
     """
 
     word_bits: int = 64
     multiplication: str = SCHOOLBOOK
-    max_iterations: int = 64
 
     def __post_init__(self) -> None:
         if self.word_bits < 8:
@@ -43,5 +39,3 @@ class RewriteOptions:
                 f"multiplication must be '{SCHOOLBOOK}' or '{KARATSUBA}', "
                 f"got {self.multiplication!r}"
             )
-        if self.max_iterations < 1:
-            raise RewriteError("max_iterations must be positive")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.errors import RewriteError
 from repro.core.ir.ops import OpKind, Statement
 from repro.core.ir.values import Const, Group, Var
-from repro.core.rewrite.emitter import Emitter
+from repro.core.rewrite.emitter import Emitter, Piece
 from repro.core.rewrite.options import RewriteOptions
 from repro.core.rewrite.splitting import SplitContext
 
@@ -47,7 +47,7 @@ def _group_effective_bits(group: Group) -> int:
     return total
 
 
-def expand_addmod(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def expand_addmod(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """(a + b) mod q  ->  wide add, compare, subtract, select."""
     a, b, q = statement.operands
     dest = statement.dests
@@ -62,10 +62,10 @@ def expand_addmod(statement: Statement, context: SplitContext, options: RewriteO
     exceeds = emit.compare(OpKind.LE, q, total, hint="ge")
     overflow_or_exceeds = emit.logic(OpKind.OR, carry, exceeds, hint="sel")
     emit.select(dest, overflow_or_exceeds, reduced, total)
-    return emit.statements
+    return emit.pieces
 
 
-def expand_submod(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def expand_submod(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """(a - b) mod q  ->  compare, wrap-around subtract, add-back, select."""
     a, b, q = statement.operands
     dest = statement.dests
@@ -79,10 +79,10 @@ def expand_submod(statement: Statement, context: SplitContext, options: RewriteO
     wrapped = emit.fresh(width, "wrp")
     emit.emit(OpKind.ADD, Group((carry, wrapped)), [difference, q])
     emit.select(dest, borrowed, wrapped, difference)
-    return emit.statements
+    return emit.pieces
 
 
-def expand_reduce(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def expand_reduce(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Conditional subtraction of a value known to be below ``2q`` (rule 24)."""
     value, q = statement.operands
     dest = statement.dests
@@ -93,10 +93,10 @@ def expand_reduce(statement: Statement, context: SplitContext, options: RewriteO
     emit.emit(OpKind.SUB, reduced, [value, q])
     exceeds = emit.compare(OpKind.LE, q, value, hint="ge")
     emit.select(dest, exceeds, reduced, value)
-    return emit.statements
+    return emit.pieces
 
 
-def expand_mulmod(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def expand_mulmod(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Barrett modular multiplication (Listing 4 at arbitrary width).
 
     The modulus bit-width (``MBITS``) is taken, in order of preference, from
@@ -173,7 +173,7 @@ def expand_mulmod(statement: Statement, context: SplitContext, options: RewriteO
     emit.emit(OpKind.SUB, corrected, [remainder, q])
     exceeds = emit.compare(OpKind.LE, q, remainder, hint="ge")
     emit.select(dest, exceeds, corrected, remainder)
-    return emit.statements
+    return emit.pieces
 
 
 def _constant_value(group: Group) -> int | None:

@@ -29,11 +29,10 @@ from __future__ import annotations
 from repro.errors import RewriteError
 from repro.core.ir.ops import OpKind, Statement
 from repro.core.ir.types import IntType
-from repro.core.ir.values import Const, Group, Var
-from repro.core.rewrite.emitter import Emitter
+from repro.core.ir.values import Const, Group
+from repro.core.rewrite.emitter import Emitter, Piece
 from repro.core.rewrite.options import KARATSUBA, RewriteOptions
 from repro.core.rewrite.splitting import SplitContext, group_columns
-from repro.core.ir.values import as_group
 
 __all__ = [
     "split_add",
@@ -66,7 +65,7 @@ def _is_zero(part) -> bool:
     return isinstance(part, Const) and part.value == 0
 
 
-def split_add(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_add(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Rules (22)/(23)/(29): carry-chain addition over split limbs."""
     limb = _limb_bits(statement, options)
     dest_columns = group_columns(context.split_group(statement.dests, limb), limb)
@@ -82,10 +81,10 @@ def split_add(statement: Statement, context: SplitContext, options: RewriteOptio
     ]
     emit = Emitter(context)
     emit.column_add(dest_columns, addend_columns, carry_in)
-    return emit.statements
+    return emit.pieces
 
 
-def split_sub(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_sub(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Rule (25): borrow-chain subtraction over split limbs."""
     limb = _limb_bits(statement, options)
     dest_columns = group_columns(context.split_group(statement.dests, limb), limb)
@@ -99,7 +98,7 @@ def split_sub(statement: Statement, context: SplitContext, options: RewriteOptio
         borrow_in = borrow_group.parts[0]
     emit = Emitter(context)
     emit.column_sub(dest_columns, minuend, subtrahend, borrow_in)
-    return emit.statements
+    return emit.pieces
 
 
 def _binary_operand_columns(statement: Statement, context: SplitContext, limb: int) -> tuple[list, list]:
@@ -114,7 +113,7 @@ def _binary_operand_columns(statement: Statement, context: SplitContext, limb: i
 
 def _split_comparison(
     statement: Statement, context: SplitContext, options: RewriteOptions, final_op: OpKind
-) -> list[Statement]:
+) -> list[Piece]:
     """Rules (26)/(27) generalised to any number of limbs.
 
     Lexicographic comparison from the most significant limb downward:
@@ -143,20 +142,20 @@ def _split_comparison(
                 else emit.logic(OpKind.AND, equal_so_far, this_eq, hint="eq")
             )
     emit.mov(statement.dests, result)
-    return emit.statements
+    return emit.pieces
 
 
-def split_lt(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_lt(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Rule (26): multi-word less-than."""
     return _split_comparison(statement, context, options, OpKind.LT)
 
 
-def split_le(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_le(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Rule (26) adapted to ``<=`` (used for canonical conditional subtraction)."""
     return _split_comparison(statement, context, options, OpKind.LE)
 
 
-def split_eq(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_eq(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Rule (27): multi-word equality is the conjunction of limb equalities."""
     limb = _limb_bits(statement, options)
     left, right = _binary_operand_columns(statement, context, limb)
@@ -166,10 +165,10 @@ def split_eq(statement: Statement, context: SplitContext, options: RewriteOption
         this_eq = emit.compare(OpKind.EQ, a, b, hint="eq")
         result = this_eq if result is None else emit.logic(OpKind.AND, result, this_eq, hint="eq")
     emit.mov(statement.dests, result)
-    return emit.statements
+    return emit.pieces
 
 
-def split_select(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_select(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Multi-word conditional assignment: one select per destination limb."""
     limb = _limb_bits(statement, options)
     condition_group = context.split_group(statement.operands[0], limb)
@@ -185,10 +184,10 @@ def split_select(statement: Statement, context: SplitContext, options: RewriteOp
         if_true = true_columns[index] if index < len(true_columns) else zero
         if_false = false_columns[index] if index < len(false_columns) else zero
         emit.select(dest, condition, if_true, if_false)
-    return emit.statements
+    return emit.pieces
 
 
-def split_mov(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_mov(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Multi-word assignment: one move per destination limb."""
     limb = _limb_bits(statement, options)
     dest_columns = group_columns(context.split_group(statement.dests, limb), limb)
@@ -198,10 +197,10 @@ def split_mov(statement: Statement, context: SplitContext, options: RewriteOptio
     for index, dest in enumerate(dest_columns):
         source = source_columns[index] if index < len(source_columns) else zero
         emit.mov(dest, source)
-    return emit.statements
+    return emit.pieces
 
 
-def split_shift(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_shift(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Constant right shift across limbs (``_qshr`` of Listing 4, generalised).
 
     For a right shift each destination limb combines at most two source limbs:
@@ -266,10 +265,10 @@ def split_shift(statement: Statement, context: SplitContext, options: RewriteOpt
                 emit.emit(op, piece, [part], amount=shift_by)
             pieces.append(piece)
         emit.emit(OpKind.OR, dest, pieces)
-    return emit.statements
+    return emit.pieces
 
 
-def split_mul(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_mul(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Rule (28) (schoolbook) or Equation 9 (Karatsuba) for widening multiplies."""
     limb = _limb_bits(statement, options)
     dest_columns = group_columns(context.split_group(statement.dests, limb), limb)
@@ -287,7 +286,7 @@ def split_mul(statement: Statement, context: SplitContext, options: RewriteOptio
             [left[0], right[0]],
             **statement.attrs,
         )
-        return emit.statements
+        return emit.pieces
 
     if len(left) != 2 or len(right) != 2 or len(dest_columns) != 4:
         raise RewriteError(
@@ -307,7 +306,7 @@ def _split_mul_schoolbook(
     left: list,
     right: list,
     limb: int,
-) -> list[Statement]:
+) -> list[Piece]:
     """Rule (28): four limb products combined with carry chains."""
     emit = Emitter(context)
     a_lo, a_hi = left
@@ -344,7 +343,7 @@ def _split_mul_schoolbook(
             [Const(0, IntType(limb)), cross_lo, cross_hi, cross_carry],
         ],
     )
-    return emit.statements
+    return emit.pieces
 
 
 def _split_mul_karatsuba(
@@ -354,7 +353,7 @@ def _split_mul_karatsuba(
     left: list,
     right: list,
     limb: int,
-) -> list[Statement]:
+) -> list[Piece]:
     """Equation 9: three limb products plus carry-corrected combination."""
     emit = Emitter(context)
     a_lo, a_hi = left
@@ -418,10 +417,10 @@ def _split_mul_karatsuba(
             [zero, middle[0], middle[1], middle[2]],
         ],
     )
-    return emit.statements
+    return emit.pieces
 
 
-def split_bitwise(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_bitwise(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Bitwise AND/OR on wide values: one operation per destination limb.
 
     These arise from the multi-word shift rule, which combines adjacent limb
@@ -434,10 +433,10 @@ def split_bitwise(statement: Statement, context: SplitContext, options: RewriteO
     emit = Emitter(context)
     for index, dest in enumerate(dest_columns):
         emit.emit(statement.op, dest, [left[index], right[index]])
-    return emit.statements
+    return emit.pieces
 
 
-def split_mullo(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Statement]:
+def split_mullo(statement: Statement, context: SplitContext, options: RewriteOptions) -> list[Piece]:
     """Low-half multiplication: ``dest = (a * b) mod 2**width``.
 
     Used for the final ``r*q`` product of Barrett reduction, where Listing 4
@@ -457,7 +456,7 @@ def split_mullo(statement: Statement, context: SplitContext, options: RewriteOpt
             [left[0], right[0]],
             **statement.attrs,
         )
-        return emit.statements
+        return emit.pieces
 
     if len(left) != 2 or len(right) != 2 or len(dest_columns) != 2:
         raise RewriteError(
@@ -504,7 +503,7 @@ def split_mullo(statement: Statement, context: SplitContext, options: RewriteOpt
             scratch = emit.fresh_flag("mcr")
             emit.emit(OpKind.ADD, Group((scratch, target)), [accumulator, addend])
             accumulator = target
-    return emit.statements
+    return emit.pieces
 
 
 #: Dispatch table used by the legalizer.

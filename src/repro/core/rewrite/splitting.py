@@ -19,7 +19,7 @@ from repro.errors import RewriteError
 from repro.core.ir.types import IntType
 from repro.core.ir.values import Const, Group, NameGenerator, Var
 
-__all__ = ["SplitContext", "group_columns", "pad_columns"]
+__all__ = ["SplitContext", "group_columns"]
 
 
 class SplitContext:
@@ -103,15 +103,6 @@ class SplitContext:
             parts.extend(self.split_part(part, limit_bits))
         return Group(tuple(parts))
 
-    def leaves(self, var: Var, limit_bits: int) -> tuple:
-        """The machine-level pieces a variable eventually splits into.
-
-        Used to rewrite kernel parameter and output lists after the body has
-        been legalized.  Pieces that are ``Const 0`` (pruned high halves) are
-        included so callers can decide whether to keep them.
-        """
-        return self.split_part(var, limit_bits)
-
     def fresh_var(self, bits: int, hint: str = "t", effective_bits: int | None = None) -> Var:
         """Create a fresh temporary of the given width."""
         if effective_bits is not None and effective_bits >= bits:
@@ -145,12 +136,3 @@ def group_columns(group: Group, limb_bits: int) -> list:
         columns.append(part)
     return columns
 
-
-def pad_columns(columns: list, count: int, limb_bits: int) -> list:
-    """Extend a little-endian column list with zero constants up to ``count``."""
-    if len(columns) > count:
-        raise RewriteError(
-            f"cannot pad {len(columns)} columns down to {count}"
-        )
-    zero = Const(0, IntType(limb_bits))
-    return list(columns) + [zero] * (count - len(columns))

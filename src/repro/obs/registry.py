@@ -39,6 +39,7 @@ __all__ = [
     "merge",
     "percentile_from_histogram",
     "render",
+    "series_key",
 ]
 
 COUNTER = "counter"
@@ -58,6 +59,13 @@ _BUCKETS = len(HISTOGRAM_BUCKET_BOUNDS_MS) + 1
 
 def _label_key(labels: dict | None) -> tuple:
     return tuple(sorted(labels.items())) if labels else ()
+
+
+def series_key(kind: str, name: str, labels: dict | None = None) -> tuple:
+    """The key of one series, for :meth:`Registry.inc_series` and
+    :meth:`Registry.observe_series`: a hot path builds it once and skips
+    building and sorting the label tuple on every event."""
+    return (kind, name, _label_key(labels))
 
 
 class Registry:
@@ -96,7 +104,10 @@ class Registry:
 
     def inc(self, name: str, amount=1, labels: dict | None = None) -> None:
         """Add ``amount`` (never negative) to a counter."""
-        key = (COUNTER, name, _label_key(labels))
+        self.inc_series((COUNTER, name, _label_key(labels)), amount)
+
+    def inc_series(self, key: tuple, amount=1) -> None:
+        """:meth:`inc` on the counter whose :func:`series_key` is ``key``."""
         with self._lock:
             self._values[key] = self._series(key) + amount
 
@@ -109,9 +120,12 @@ class Registry:
 
     def observe(self, name: str, value_ms: float, labels: dict | None = None) -> None:
         """Count one ``value_ms`` observation into a histogram."""
+        self.observe_series((HISTOGRAM, name, _label_key(labels)), value_ms)
+
+    def observe_series(self, key: tuple, value_ms: float) -> None:
+        """:meth:`observe` into the histogram whose :func:`series_key` is ``key``."""
         # The first bound >= value_ms, or the overflow bucket past them all.
         index = bisect.bisect_left(HISTOGRAM_BUCKET_BOUNDS_MS, value_ms)
-        key = (HISTOGRAM, name, _label_key(labels))
         with self._lock:
             cell = self._series(key)
             cell[index] += 1

@@ -79,7 +79,7 @@ class Span:
         trace_id: the request's trace id (shared by every span of the call).
         span_id: this span's id, unique within the trace across processes.
         parent_id: the enclosing span's id (``""`` for a root span).
-        name: what happened (``"route"``, ``"compile"``, ``"pass.value_number"``...).
+        name: what happened (``"route"``, ``"compile"``, ``"pass.eliminate_dead_code"``...).
         cat: coarse layer tag (``"serve"``, ``"wire"``, ``"compile"``...).
         ts_us: wall-clock start, microseconds since the epoch.
         dur_us: duration in microseconds (``perf_counter``-accurate).

@@ -38,6 +38,7 @@ from repro.obs.registry import (
     merge,
     percentile_from_histogram,
     render,
+    series_key,
 )
 from repro.tenancy import DEFAULT_TENANT
 
@@ -345,11 +346,17 @@ class ServerMetrics:
 
     Every recording method takes the request's tenant and records one
     series update (plus one histogram observation for a warm or cold
-    serve) into :attr:`registry`.
+    serve) into :attr:`registry`.  The series keys of the per-request
+    updates are built once per tenant (and class) and then reused.
     """
 
     def __init__(self) -> None:
         self.registry = Registry()
+        # tenant -> requests_total key; (class, tenant) -> (serves_total
+        # key, serve_latency_ms key).  Like the registry's own series, they
+        # grow with the tenants seen.
+        self._request_keys: dict[str, tuple] = {}
+        self._serve_keys: dict[tuple[str, str], tuple[tuple, tuple]] = {}
         default = {"tenant": DEFAULT_TENANT}
         for name in _OUTCOMES.values():
             self.registry.declare(COUNTER, name, default)
@@ -360,13 +367,23 @@ class ServerMetrics:
 
     def record_request(self, tenant: str = DEFAULT_TENANT) -> None:
         """Count one incoming request (before its outcome is known)."""
-        self.registry.inc("requests_total", labels={"tenant": tenant})
+        key = self._request_keys.get(tenant)
+        if key is None:
+            key = self._request_keys[tenant] = series_key(
+                COUNTER, "requests_total", {"tenant": tenant}
+            )
+        self.registry.inc_series(key)
 
     def _record_serve(self, served: str, latency_s: float, tenant: str) -> None:
-        self.registry.inc(f"{served}_serves_total", labels={"tenant": tenant})
-        self.registry.observe(
-            "serve_latency_ms", latency_s * 1e3, {"class": served, "tenant": tenant}
-        )
+        keys = self._serve_keys.get((served, tenant))
+        if keys is None:
+            keys = self._serve_keys[(served, tenant)] = (
+                series_key(COUNTER, f"{served}_serves_total", {"tenant": tenant}),
+                series_key(HISTOGRAM, "serve_latency_ms", {"class": served, "tenant": tenant}),
+            )
+        count_key, latency_key = keys
+        self.registry.inc_series(count_key)
+        self.registry.observe_series(latency_key, latency_s * 1e3)
 
     def record_warm(self, latency_s: float, tenant: str = DEFAULT_TENANT) -> None:
         """Count one resident-table serve."""

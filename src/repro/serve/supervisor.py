@@ -537,6 +537,31 @@ class ShardSupervisor:
             self.metrics.inc("wire_flushes_total")
             self.metrics.inc("wire_flush_seconds_total", time.perf_counter() - started)
 
+    def _send_now(self, connection, message) -> None:
+        """Encode ``message`` and write it straight to ``connection``.
+
+        The control-plane path (hello, pings, probes, shutdown): one message
+        in one flush, counted in the same ``wire_*`` series as the
+        coalesced serve path.  Callers that share the connection hold its
+        send lock.
+        """
+        started = time.perf_counter()
+        data = protocol.encode_message(message)
+        encoded = time.perf_counter()
+        connection.send_bytes(data)
+        metrics = self.metrics
+        metrics.inc("wire_messages_sent_total")
+        metrics.inc("wire_bytes_sent_total", len(data))
+        metrics.inc("wire_encode_seconds_total", encoded - started)
+        metrics.inc("wire_flushes_total")
+        metrics.inc("wire_flush_seconds_total", time.perf_counter() - encoded)
+
+    def _count_received(self, data: bytes, decode_s: float) -> None:
+        metrics = self.metrics
+        metrics.inc("wire_messages_received_total")
+        metrics.inc("wire_bytes_received_total", len(data))
+        metrics.inc("wire_decode_seconds_total", decode_s)
+
     # -- remote connections -------------------------------------------------
 
     def _connect_remote_until(
@@ -580,17 +605,18 @@ class ShardSupervisor:
         )
         connection = protocol.StreamConnection(sock)
         try:
-            request_id = next(self._request_ids)
-            connection.send_bytes(
-                protocol.encode_message(
-                    protocol.HelloCall(
-                        request_id=request_id,
-                        protocol_version=protocol.PROTOCOL_VERSION,
-                        shard_id=handle.shard_id,
-                    )
-                )
+            self._send_now(
+                connection,
+                protocol.HelloCall(
+                    request_id=next(self._request_ids),
+                    protocol_version=protocol.PROTOCOL_VERSION,
+                    shard_id=handle.shard_id,
+                ),
             )
-            reply = protocol.decode_message(connection.recv_bytes())
+            data = connection.recv_bytes()
+            decode_started = time.perf_counter()
+            reply = protocol.decode_message(data)
+            self._count_received(data, time.perf_counter() - decode_started)
         except (EOFError, ProtocolError) as error:
             connection.close()
             raise ServingError(f"remote shard handshake failed: {error}") from error
@@ -662,9 +688,7 @@ class ShardSupervisor:
                 decode_started = time.perf_counter()
                 message = protocol.decode_message(data, trusted=handle.trusted)
                 decode_s = time.perf_counter() - decode_started
-                self.metrics.inc("wire_messages_received_total")
-                self.metrics.inc("wire_bytes_received_total", len(data))
-                self.metrics.inc("wire_decode_seconds_total", decode_s)
+                self._count_received(data, decode_s)
             except ProtocolError:
                 # An undecodable reply means reply correlation on this link
                 # is lost (we cannot know whose answer this was).  Poison
@@ -777,9 +801,7 @@ class ShardSupervisor:
             handle.pending[request_id] = (None, None, future, None, None)
         try:
             with handle.send_lock:
-                handle.connection.send_bytes(
-                    protocol.encode_message(protocol.PingCall(request_id=request_id))
-                )
+                self._send_now(handle.connection, protocol.PingCall(request_id=request_id))
         except (OSError, ValueError, AttributeError):
             with handle.pending_lock:
                 handle.pending.pop(request_id, None)
@@ -1059,9 +1081,7 @@ class ShardSupervisor:
             with handle.send_lock:
                 if handle.connection is None:  # a disconnected remote shard
                     raise OSError("shard connection is down")
-                handle.connection.send_bytes(
-                    protocol.encode_message(message_type(request_id=request_id))
-                )
+                self._send_now(handle.connection, message_type(request_id=request_id))
         except (OSError, ValueError) as error:
             with handle.pending_lock:
                 handle.pending.pop(request_id, None)
@@ -1244,10 +1264,9 @@ class ShardSupervisor:
                 continue  # disconnect only; the listener outlives us
             try:
                 with handle.send_lock:
-                    handle.connection.send_bytes(
-                        protocol.encode_message(
-                            protocol.ShutdownCall(request_id=next(self._request_ids))
-                        )
+                    self._send_now(
+                        handle.connection,
+                        protocol.ShutdownCall(request_id=next(self._request_ids)),
                     )
             except (OSError, ValueError, AttributeError):
                 pass

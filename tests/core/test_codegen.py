@@ -1,5 +1,7 @@
 """Tests for the CUDA, C99 and Python code generators."""
 
+import shutil
+import subprocess
 from collections import Counter
 
 import pytest
@@ -8,12 +10,14 @@ from repro.core.codegen.c99 import generate_c99
 from repro.core.codegen.common import CTypes, StatementTranslator
 from repro.core.codegen.cuda import generate_cuda
 from repro.core.codegen.python_exec import compile_kernel, generate_python_source
+from repro.core.driver import CompilerSession
 from repro.core.ir.builder import KernelBuilder
 from repro.core.ir.interp import interpret
 from repro.core.passes import optimize
 from repro.core.rewrite.legalize import legalize
 from repro.core.rewrite.options import RewriteOptions
 from repro.errors import CodegenError
+from repro.kernels import KernelConfig, build_blas_kernel, build_butterfly_kernel
 
 
 def butterfly_kernel(bits=256, modulus_bits=252):
@@ -189,3 +193,32 @@ class TestPythonBackend:
         packed = compiled.pack_inputs({"x": 1, "y": 2, "w": 3, "q": q, "mu": mu})
         raw = compiled.call_limbs(*packed)
         assert compiled.unpack_outputs(raw)["x_out"] == 7
+
+
+#: Kernels whose c99 unit must compile: a pruned-width Karatsuba butterfly
+#: and a power-of-two schoolbook BLAS op.
+C_UNITS = {
+    "cooley_tukey-384-karatsuba": lambda: build_butterfly_kernel(
+        KernelConfig(bits=384, multiplication="karatsuba")
+    ),
+    "vmul-256-schoolbook": lambda: build_blas_kernel("vmul", KernelConfig(bits=256)),
+}
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no system C compiler (cc) on PATH")
+class TestEmittedCCompiles:
+    """The emitted c99 unit is real C: the system compiler accepts it."""
+
+    @pytest.mark.parametrize("label", list(C_UNITS))
+    def test_c99_unit_compiles(self, tmp_path, label):
+        source = CompilerSession().compile(C_UNITS[label](), target="c99")
+        path = tmp_path / f"{label}.c"
+        path.write_text(source)
+        result = subprocess.run(
+            ["cc", "-std=c99", "-Wall", "-c", str(path), "-o", str(tmp_path / f"{label}.o")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / f"{label}.o").stat().st_size > 0

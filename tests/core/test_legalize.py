@@ -6,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.codegen.python_exec import compile_kernel
 from repro.core.ir.builder import KernelBuilder
 from repro.core.ir.interp import interpret
-from repro.core.rewrite.legalize import kernel_is_machine_legal, legalize
+from repro.core.ir.ops import OpKind, Statement
+from repro.core.ir.types import IntType
+from repro.core.ir.values import Group, Var
+from repro.core.rewrite.legalize import is_machine_legal, kernel_is_machine_legal, legalize
 from repro.core.rewrite.options import RewriteOptions
+from repro.core.rewrite.rules_expand import EXPANSIONS
+from repro.core.rewrite.rules_split import SPLITS
 from repro.errors import RewriteError
 
 WORD = 64
@@ -166,5 +171,84 @@ class TestErrors:
             RewriteOptions(word_bits=48)
         with pytest.raises(RewriteError):
             RewriteOptions(multiplication="toom")
-        with pytest.raises(RewriteError):
-            RewriteOptions(max_iterations=0)
+
+
+#: ``op -> (operand groups, max parts per operand group, max destination
+#: parts)`` of a machine-legal statement.
+LEGAL_SHAPES = {
+    OpKind.MOV: (1, 1, 2),
+    OpKind.ADD: (2, 1, 2),
+    OpKind.SUB: (2, 1, 2),
+    OpKind.MUL: (2, 1, 2),
+    OpKind.MULLO: (2, 1, 1),
+    OpKind.SHR: (1, 2, 2),
+    OpKind.SHL: (1, 2, 2),
+    OpKind.LT: (2, 1, 1),
+    OpKind.LE: (2, 1, 1),
+    OpKind.EQ: (2, 1, 1),
+    OpKind.AND: (2, 1, 1),
+    OpKind.OR: (2, 1, 1),
+    OpKind.NOT: (1, 1, 1),
+    OpKind.SELECT: (3, 1, 1),
+}
+
+
+def shaped(op, operand_parts, dest_parts, operand_count=None, wide_part=False):
+    """A statement with ``operand_parts`` word parts per operand group and
+    ``dest_parts`` destination parts; ``wide_part`` widens the last operand
+    part by one bit."""
+    counter = iter(range(1000))
+
+    def word(bits=WORD):
+        return Var(f"v{next(counter)}", IntType(bits))
+
+    count = LEGAL_SHAPES[op][0] if operand_count is None else operand_count
+    operands = [Group(tuple(word() for _ in range(operand_parts))) for _ in range(count)]
+    if wide_part:
+        operands[-1] = Group(operands[-1].parts[:-1] + (word(WORD + 1),))
+    attrs = {"amount": 1} if op in (OpKind.SHR, OpKind.SHL) else {}
+    return Statement(op, Group(tuple(word() for _ in range(dest_parts))), tuple(operands), attrs)
+
+
+class TestMachineLegality:
+    @pytest.mark.parametrize("op", list(LEGAL_SHAPES), ids=lambda op: op.value)
+    def test_boundaries_per_op(self, op):
+        _, operand_parts, dest_parts = LEGAL_SHAPES[op]
+        assert is_machine_legal(shaped(op, operand_parts, dest_parts), WORD)
+        assert not is_machine_legal(shaped(op, operand_parts, dest_parts + 1), WORD)
+        assert not is_machine_legal(shaped(op, operand_parts + 1, dest_parts), WORD)
+        assert not is_machine_legal(shaped(op, operand_parts, dest_parts, wide_part=True), WORD)
+        assert is_machine_legal(shaped(op, operand_parts, dest_parts, wide_part=True), WORD + 1)
+
+    @pytest.mark.parametrize("op", list(EXPANSIONS), ids=lambda op: op.value)
+    def test_modular_ops_are_never_legal(self, op):
+        operand_count = {OpKind.REDUCE: 2}.get(op, 3)
+        statement = shaped(op, 1, 1, operand_count=operand_count)
+        assert not is_machine_legal(statement, WORD)
+        assert not is_machine_legal(statement, 1024)
+
+
+class TestProgressCheck:
+    def addmod_kernel(self):
+        builder = KernelBuilder("progress")
+        x = builder.param("x", 128, 124)
+        y = builder.param("y", 128, 124)
+        q = builder.param("q", 128, 124)
+        builder.output("z", builder.addmod(x, y, q))
+        return builder.build()
+
+    def test_a_split_that_does_not_halve_raises(self, monkeypatch):
+        def stalling_split(statement, context, options):
+            return [(statement.op, statement.dests, statement.operands, statement.attrs)]
+
+        monkeypatch.setitem(SPLITS, OpKind.ADD, stalling_split)
+        with pytest.raises(RewriteError, match="stalling_split"):
+            legalize(self.addmod_kernel(), RewriteOptions(word_bits=WORD))
+
+    def test_an_expansion_that_keeps_its_modular_op_raises(self, monkeypatch):
+        def stalling_expansion(statement, context, options):
+            return [(statement.op, statement.dests, statement.operands, statement.attrs)]
+
+        monkeypatch.setitem(EXPANSIONS, OpKind.ADDMOD, stalling_expansion)
+        with pytest.raises(RewriteError, match="stalling_expansion"):
+            legalize(self.addmod_kernel(), RewriteOptions(word_bits=WORD))

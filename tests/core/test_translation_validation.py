@@ -1,12 +1,13 @@
-"""Translation validation of the optimizer on every kernel family.
+"""Translation validation of the lowering on every kernel family.
 
 For each BLAS op and both butterflies, at every width from 64 to 1024 bits
 (the non-powers-of-two 192, 320, 384 and 768 exercise zero-limb pruning),
 with schoolbook and Karatsuba multiplication, the reference interpreter must
-give the same outputs on the legalized kernel and on ``optimize`` of it.
-Inputs are directed edge values (0, 1, q-1, all-ones limbs, carry and borrow
-chains, an all-ones modulus) plus a few Hypothesis-drawn ones.  The
-optimized statement counts are pinned as upper bounds.
+give the same outputs on the *wide* frontend kernel, on its one-pass
+``legalize`` output, and on ``optimize`` of that.  Inputs are directed edge
+values (0, 1, q-1, all-ones limbs, carry and borrow chains, an all-ones
+modulus) plus a few Hypothesis-drawn ones.  The optimized statement counts
+are pinned as upper bounds.
 """
 
 from __future__ import annotations
@@ -100,10 +101,24 @@ def directed_elements(q: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def assert_optimize_preserves(op, legalized, optimized, modulus_bits, q, elements):
+def wide_outputs(lowered, limbs: dict[str, int]) -> dict[str, int]:
+    """Recombine a lowered kernel's output limbs into the wide outputs."""
+    outputs = {}
+    for name, layout in lowered.metadata["output_layout"].items():
+        value = 0
+        for limb in layout:
+            value = (value << WORD_BITS) | (0 if limb is None else limbs[limb])
+        outputs[name] = value
+    return outputs
+
+
+def assert_lowering_preserves(op, kernel, lowered_kernels, modulus_bits, q, elements):
     for x, y, w in elements:
-        limbs = limb_inputs(legalized, wide_inputs(op, modulus_bits, q, x, y, w))
-        assert interpret(optimized, limbs) == interpret(legalized, limbs), (x, y, w, q)
+        values = wide_inputs(op, modulus_bits, q, x, y, w)
+        want = interpret(kernel, values)
+        for lowered in lowered_kernels:
+            got = interpret(lowered, limb_inputs(lowered, values))
+            assert wide_outputs(lowered, got) == want, (x, y, w, q)
 
 
 @pytest.mark.parametrize(
@@ -111,17 +126,20 @@ def assert_optimize_preserves(op, legalized, optimized, modulus_bits, q, element
     FAMILIES,
     ids=[f"{op}-{bits}-{multiplication}" for op, bits, multiplication in FAMILIES],
 )
-def test_optimize_preserves_semantics(op, bits, multiplication):
+def test_lowering_matches_the_wide_kernel(op, bits, multiplication):
     kernel, config = build(op, bits, multiplication)
     legalized = legalize(kernel, config.rewrite_options())
     optimized = optimize(legalized)
     bound = MAX_STATEMENTS[op][bits][MULTIPLICATIONS.index(multiplication)]
     assert len(optimized.body) <= bound
+    lowered_kernels = (legalized, optimized)
 
     modulus_bits = config.effective_modulus_bits
     # An all-ones modulus: every limb of q, q - 1 and mu is saturated.
     q = (1 << modulus_bits) - 1
-    assert_optimize_preserves(op, legalized, optimized, modulus_bits, q, directed_elements(q))
+    assert_lowering_preserves(
+        op, kernel, lowered_kernels, modulus_bits, q, directed_elements(q)
+    )
 
     @settings(max_examples=2)
     @given(st.data())
@@ -129,6 +147,6 @@ def test_optimize_preserves_semantics(op, bits, multiplication):
         q = data.draw(st.integers(1 << (modulus_bits - 1), (1 << modulus_bits) - 1)) | 1
         below_q = st.integers(0, q - 1)
         element = (data.draw(below_q), data.draw(below_q), data.draw(below_q))
-        assert_optimize_preserves(op, legalized, optimized, modulus_bits, q, [element])
+        assert_lowering_preserves(op, kernel, lowered_kernels, modulus_bits, q, [element])
 
     drawn()

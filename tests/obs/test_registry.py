@@ -20,6 +20,7 @@ from repro.obs.registry import (
     check_samples,
     merge,
     render,
+    series_key,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import ShardStats
@@ -136,6 +137,26 @@ def by_series(samples) -> dict:
         (name, tuple(sorted(labels.items()))): (kind, value)
         for kind, name, labels, value in samples
     }
+
+
+def replay_by_key(registry: Registry, events) -> None:
+    kinds = {"inc": "counter", "observe": "histogram"}
+    for method, name, amount, labels in events:
+        if method == "set":
+            registry.set(name, amount, labels)
+        else:
+            key = series_key(kinds[method], name, dict(reversed(labels.items())))
+            getattr(registry, f"{method}_series")(key, amount)
+
+
+class TestSeriesKeys:
+    def test_recording_by_key_equals_recording_by_labels(self):
+        events = random_events(random.Random(3), 300)
+        by_labels, by_key = Registry(), Registry()
+        replay(by_labels, events)
+        replay_by_key(by_key, events)
+        assert by_series(by_key.samples()) == by_series(by_labels.samples())
+        assert render(by_key.samples(), {}) == render(by_labels.samples(), {})
 
 
 class TestMerge:

@@ -231,6 +231,16 @@ class TestRobustness:
             result = supervisor.submit(request).result(timeout=120)
             assert result.request == request
 
+    def test_control_plane_traffic_is_counted_both_ways(self):
+        with ShardSupervisor(shards=1, devices=("rtx4090",), workers=1) as supervisor:
+            supervisor.ping()
+            supervisor.stats()
+            supervisor.ping()
+            wire = supervisor.wire_snapshot()
+            assert wire.messages_sent == wire.messages_received == 3
+            assert wire.flushes == 3
+            assert wire.bytes_sent > 0 and wire.bytes_received > 0
+
     def test_probe_of_a_dead_shard_raises_serving_error(self):
         # Probes must fail inside the ReproError hierarchy (the CLI's catch)
         # and clean up their pending entry — never a raw TimeoutError.

@@ -264,6 +264,28 @@ class TestHandshake:
         finally:
             shut_down_listener(address, thread)
 
+    def test_hellos_pings_and_probes_are_counted_both_ways(self):
+        address, thread = start_listener()
+        try:
+            supervisor = ShardSupervisor(
+                shards=0, devices=("rtx4090",), connect=(address,), pool=2
+            )
+            try:
+                supervisor.ping()
+                supervisor.stats()
+                # A background keep-alive ping may be in flight: its pong
+                # arrives within the monitor's ping interval.
+                deadline = time.monotonic() + 5.0
+                wire = supervisor.wire_snapshot()
+                while wire.messages_received != wire.messages_sent and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                    wire = supervisor.wire_snapshot()
+                assert wire.messages_sent == wire.messages_received >= 4  # 2 hellos + 2 probes
+            finally:
+                supervisor.close()
+        finally:
+            shut_down_listener(address, thread)
+
     def test_non_hello_first_frame_is_refused(self):
         address, thread = start_listener()
         try:
